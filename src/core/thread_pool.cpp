@@ -11,7 +11,7 @@ namespace {
 
 thread_local bool t_on_pool_worker = false;
 
-/// How long a spin-mode waiter burns before parking on the condvar.  Long
+/// How long a waiter burns before parking on the condvar.  Long
 /// enough to bridge the gap between back-to-back multiplies (the engine
 /// re-dispatches within a few µs on a warm pool), short enough that an
 /// idle pool goes quiet almost immediately.
@@ -50,15 +50,15 @@ bool spin_with_backoff(const Pred& pred) {
 /// Busy-waiting only pays when every waiter can sit on its own CPU; once
 /// the dispatch's threads exceed the host, a spinning thread is stealing
 /// cycles from the very thread it waits for, so both sides park
-/// immediately instead (the participation win — one fewer handoff than
-/// condvar mode — remains).  A spin dispatch of width `active` occupies
-/// exactly `active` threads: the caller runs tid 0 and worker 0 idles.
+/// immediately instead (the participation win — one fewer handoff —
+/// remains).  A dispatch of width `active` occupies exactly `active`
+/// threads: the caller runs tid 0 and worker 0 idles.
 inline bool spin_pays(unsigned active) {
   return active <= host_info().logical_cpus;
 }
 
 /// Marks the current thread as a pool worker for the duration of a task
-/// the *caller* executes (spin-mode participation), so nested dispatches
+/// the *caller* executes (tid 0's share), so nested dispatches
 /// inline exactly as they would on a real worker.
 class WorkerScope {
  public:
@@ -110,40 +110,35 @@ void ThreadPool::record_error(std::exception_ptr e) {
   if (!first_error_) first_error_ = std::move(e);
 }
 
-void ThreadPool::run(const std::function<void(unsigned)>& task,
-                     WaitMode mode) {
-  run(size(), task, mode);
+void ThreadPool::run(const std::function<void(unsigned)>& task) {
+  run(size(), task);
 }
 
 void ThreadPool::run(unsigned active,
-                     const std::function<void(unsigned)>& task,
-                     WaitMode mode) {
+                     const std::function<void(unsigned)>& task) {
   if (active > size()) {
     throw std::invalid_argument(
         "ThreadPool::run: active exceeds worker count");
   }
   if (active == 0) return;
-  const bool participate = mode == WaitMode::kSpin;
-  if (participate && active == 1) {
+  if (active == 1) {
     // The whole dispatch is the caller's share: no barrier at all.
     const WorkerScope scope;
     task(0);
     return;
   }
-  const unsigned helpers = participate ? active - 1 : active;
 
-  // Publish the dispatch: plain fields first, then the generation word.
-  // No dispatch is in flight (contract), so nothing reads them yet, and
-  // the release in the seq_cst store makes them visible to every worker
-  // that acquires the new word.
+  // Publish the dispatch: task_ first, then the generation word.  No
+  // dispatch is in flight (contract), so nothing reads task_ yet, and the
+  // release in the seq_cst store makes it visible to every worker that
+  // acquires the new word.
   task_ = &task;
-  dispatch_mode_ = mode;
   reset_error();
   caller_parked_.store(false, std::memory_order_relaxed);
-  remaining_.store(helpers, std::memory_order_relaxed);
+  remaining_.store(active - 1, std::memory_order_relaxed);
   const std::uint64_t prev = dispatch_word_.load(std::memory_order_relaxed);
-  const std::uint64_t next = (((prev >> kActiveBits) + 1) << kActiveBits) |
-                             (participate ? kParticipateBit : 0) | active;
+  const std::uint64_t next =
+      (((prev >> kActiveBits) + 1) << kActiveBits) | active;
   // seq_cst, not just release: the store must be ordered before the
   // parked_ load (Dekker handshake with a worker that is about to park).
   dispatch_word_.store(next, std::memory_order_seq_cst);
@@ -152,7 +147,7 @@ void ThreadPool::run(unsigned active,
     cv_start_.notify_all();
   }
 
-  if (participate) {
+  {
     // Fork-join with caller participation: tid 0 runs right here while
     // the workers chew tids 1..active-1 — one fewer handoff per dispatch,
     // and the caller's CPU does useful work instead of waiting.
@@ -168,7 +163,7 @@ void ThreadPool::run(unsigned active,
   // workers finish within the budget — the common case for a warm pool
   // running microsecond SpMV bodies.
   bool done = remaining_.load(std::memory_order_acquire) == 0;
-  if (!done && mode == WaitMode::kSpin && spin_pays(active)) {
+  if (!done && spin_pays(active)) {
     done = spin_with_backoff(
         [&] { return remaining_.load(std::memory_order_acquire) == 0; });
   }
@@ -191,14 +186,13 @@ void ThreadPool::run(unsigned active,
   if (std::exception_ptr e = steal_error()) std::rethrow_exception(e);
 }
 
-std::uint64_t ThreadPool::wait_for_dispatch(std::uint64_t seen,
-                                            WaitMode idle_mode) {
+std::uint64_t ThreadPool::wait_for_dispatch(std::uint64_t seen, bool hot) {
   std::uint64_t w = dispatch_word_.load(std::memory_order_acquire);
   if (w != seen || shutdown_.load(std::memory_order_relaxed)) return w;
-  // After a spin-mode task, stay hot for the budget: back-to-back
-  // multiplies re-dispatch long before it expires, making the whole
-  // round-trip mutex-free.
-  if (idle_mode == WaitMode::kSpin) {
+  // After a task, stay hot for the budget: back-to-back multiplies
+  // re-dispatch long before it expires, making the whole round-trip
+  // mutex-free.
+  if (hot) {
     if (spin_with_backoff([&] {
           w = dispatch_word_.load(std::memory_order_acquire);
           return w != seen || shutdown_.load(std::memory_order_relaxed);
@@ -224,27 +218,23 @@ std::uint64_t ThreadPool::wait_for_dispatch(std::uint64_t seen,
 void ThreadPool::worker_loop(unsigned tid) {
   t_on_pool_worker = true;
   std::uint64_t seen = 0;
-  WaitMode idle_mode = WaitMode::kCondvar;
+  bool hot = false;
   for (;;) {
-    const std::uint64_t w = wait_for_dispatch(seen, idle_mode);
+    const std::uint64_t w = wait_for_dispatch(seen, hot);
     if (shutdown_.load(std::memory_order_relaxed)) return;
     seen = w;
     const unsigned active = static_cast<unsigned>(w & kActiveMask);
-    if (tid >= active ||
-        (tid == 0 && (w & kParticipateBit) != 0)) {
+    if (tid == 0 || tid >= active) {
       // Not part of this dispatch's barrier (tid 0's share runs on the
-      // caller when the participate bit is set) — and not entitled to
-      // read its fields either (the caller may republish them the moment
-      // the executing workers finish), so idle cold until next selected.
-      idle_mode = WaitMode::kCondvar;
+      // caller) — and not entitled to read task_ either (the caller may
+      // republish it the moment the executing workers finish), so idle
+      // cold until next selected.
+      hot = false;
       continue;
     }
-    // Safe to read the dispatch fields: this worker is active in the
-    // acquired word, and the caller cannot overwrite them until our
-    // remaining_ decrement below.
-    idle_mode = dispatch_mode_ == WaitMode::kSpin && spin_pays(active)
-                    ? WaitMode::kSpin
-                    : WaitMode::kCondvar;
+    // Safe to read task_: this worker is active in the acquired word, and
+    // the caller cannot overwrite it until our remaining_ decrement below.
+    hot = spin_pays(active);
     try {
       (*task_)(tid);
     } catch (...) {

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 
 #include "core/thread_pool.h"
 #include "util/thread_annotations.h"
@@ -31,12 +30,6 @@ struct ExecutionConfig {
   /// is pinned from the first pin-requesting dispatch onward (upgrade-only,
   /// order-independent) — see parallel_for.
   bool pin_threads = true;
-  /// Barrier wait mode for dispatches that do not override it.  kSpin by
-  /// default: SpMV bodies are microseconds, so every multiply on this
-  /// context gets the lock-free generation barrier for free.  Set kCondvar
-  /// to force classic parked dispatch context-wide (debugging, or hosts
-  /// where busy-waiting is unwelcome).
-  WaitMode wait_mode = WaitMode::kSpin;
 };
 
 class ExecutionContext {
@@ -66,14 +59,9 @@ class ExecutionContext {
   ///    host threads may execute plans simultaneously.
   ///  * Called from inside a pool worker (nested parallelism), the task
   ///    runs inline serially instead of deadlocking on the dispatch lock.
-  ///  * `wait_mode` overrides the context's ExecutionConfig::wait_mode for
-  ///    this dispatch (e.g. TuningOptions::wait_mode); nullopt follows the
-  ///    config.
   void parallel_for(unsigned threads,
                     const std::function<void(unsigned)>& task,
-                    bool pin = true,
-                    std::optional<WaitMode> wait_mode = std::nullopt)
-      SPMV_EXCLUDES(dispatch_mutex_);
+                    bool pin = true) SPMV_EXCLUDES(dispatch_mutex_);
 
   /// Current worker count (0 until the first parallel dispatch).
   [[nodiscard]] unsigned capacity() const SPMV_EXCLUDES(dispatch_mutex_);

@@ -181,14 +181,14 @@ OperandSpec SpmvNetClient::make_operand(std::span<const double> x) {
   return spec;
 }
 
-OperandSpec SpmvNetClient::full_operand(const std::vector<double>& x) {
+OperandSpec SpmvNetClient::full_operand(std::span<const double> x) {
   // Retransmissions ship dense and leave the shadow untouched — they are
   // cache-neutral on both sides by the protocol's retransmission rule
   // (the server never re-applies a replayed id's operands either).
   OperandSpec spec;
   spec.mode = OperandMode::kFull;
   spec.n = static_cast<std::uint32_t>(x.size());
-  spec.full = x;
+  spec.full.assign(x.begin(), x.end());
   counters_.operand_bytes_sent += operand_wire_bytes(spec);
   counters_.operand_bytes_dense += static_cast<std::uint64_t>(x.size()) * 8;
   ++counters_.full_operands;
@@ -220,26 +220,20 @@ std::uint64_t SpmvNetClient::begin_multiply(const std::string& name,
                                             std::span<const double> x,
                                             std::uint64_t deadline_us,
                                             std::int32_t priority) {
-  MultiplyRequest req;
-  req.name = name;
-  req.deadline_us = deadline_us;
-  req.priority = priority;
-  req.operands.push_back(make_operand(x));
-  const std::uint64_t id = next_request_id_++;
-  io_deadline_ = Clock::now() + options_.timeout;
-  send_frame(FrameType::kMultiply, id, encode_multiply(req));
-  return id;
+  const std::span<const double> xs[] = {x};
+  return send_multiply({FrameType::kMultiply, name, xs, deadline_us, priority});
 }
 
 SpmvNetClient::Result SpmvNetClient::multiply(const std::string& name,
                                               std::span<const double> x,
                                               std::uint64_t deadline_us,
                                               std::int32_t priority) {
-  if (!options_.retry.enabled) {
-    return await(begin_multiply(name, x, deadline_us, priority));
-  }
-  return multiply_retrying(name, std::vector<double>(x.begin(), x.end()),
-                           deadline_us, priority);
+  const std::span<const double> xs[] = {x};
+  auto [type, payload] =
+      call_multiply({FrameType::kMultiply, name, xs, deadline_us, priority});
+  Result r = to_result(type, payload);
+  note_reply_status(r.status);
+  return r;
 }
 
 SpmvNetClient::Result SpmvNetClient::multiply_cached(
@@ -248,90 +242,29 @@ SpmvNetClient::Result SpmvNetClient::multiply_cached(
   if (!have_shadow_) {
     throw std::logic_error("multiply_cached with no vector ever shipped");
   }
-  if (options_.retry.enabled) {
-    // First attempt re-derives kCached from the shadow (the diff is
-    // empty); a retransmission after reconnect has a dense copy to ship.
-    return multiply_retrying(name, shadow_x_, deadline_us, priority);
-  }
-  MultiplyRequest req;
-  req.name = name;
-  req.deadline_us = deadline_us;
-  req.priority = priority;
-  OperandSpec spec;
-  spec.mode = OperandMode::kCached;
-  spec.n = static_cast<std::uint32_t>(shadow_x_.size());
-  counters_.operand_bytes_sent += operand_wire_bytes(spec);
-  counters_.operand_bytes_dense += shadow_x_.size() * 8;
-  ++counters_.cached_operands;
-  req.operands.push_back(std::move(spec));
-  const std::uint64_t id = next_request_id_++;
-  io_deadline_ = Clock::now() + options_.timeout;
-  send_frame(FrameType::kMultiply, id, encode_multiply(req));
-  return await(id);
+  // The shadow diffs against itself to an empty delta — a kCached operand
+  // — and the copy is what a retransmission after reconnect ships dense.
+  const std::vector<double> x = shadow_x_;
+  return multiply(name, x, deadline_us, priority);
 }
 
 SpmvNetClient::BatchResult SpmvNetClient::multiply_batch(
     const std::string& name, const std::vector<std::vector<double>>& xs,
     std::uint64_t deadline_us, std::int32_t priority) {
+  const std::vector<std::span<const double>> spans(xs.begin(), xs.end());
+  auto [type, payload] = call_multiply(
+      {FrameType::kMultiplyBatch, name, spans, deadline_us, priority});
   BatchResult out;
-  std::pair<FrameType, std::vector<std::uint8_t>> reply;
-  if (!options_.retry.enabled) {
-    MultiplyRequest req;
-    req.name = name;
-    req.deadline_us = deadline_us;
-    req.priority = priority;
-    req.operands.reserve(xs.size());
-    // The shadow evolves across items exactly as the server's cache does —
-    // item i's delta applies to item i-1's vector.
-    for (const auto& x : xs) req.operands.push_back(make_operand(x));
-    const std::uint64_t id = next_request_id_++;
-    io_deadline_ = ladder_deadline();
-    send_frame(FrameType::kMultiplyBatch, id, encode_multiply(req));
-    try {
-      reply = await_frame(id);
-    } catch (const std::exception& e) {
-      out.status = StatusCode::kConnectionLost;
-      out.message = e.what();
-      return out;
-    }
-  } else {
-    const std::uint64_t id = next_request_id_++;
-    auto encode = [&](bool first) {
-      MultiplyRequest req;
-      req.name = name;
-      req.deadline_us = deadline_us;
-      req.priority = priority;
-      req.operands.reserve(xs.size());
-      if (first) {
-        for (const auto& x : xs) req.operands.push_back(make_operand(x));
-      } else {
-        for (const auto& x : xs) req.operands.push_back(full_operand(x));
-      }
-      return encode_multiply(req);
-    };
-    try {
-      reply = retry_call(FrameType::kMultiplyBatch, id, encode,
-                         ladder_deadline());
-    } catch (const std::exception& e) {
-      out.status = StatusCode::kConnectionLost;
-      out.message = e.what();
-      return out;
-    }
-  }
-  if (reply.first == FrameType::kMultiplyBatchResult) {
-    MultiplyBatchResult res;
-    if (!decode_multiply_batch_result(reply.second, res)) {
-      out.status = StatusCode::kProtocolError;
-      out.message = "malformed MULTIPLY_BATCH_RESULT";
-      note_reply_status(out.status);
-      return out;
-    }
-    out.items = std::move(res.items);
-    return out;
-  }
   StatusMsg status;
-  if (reply.first == FrameType::kStatus &&
-      decode_status(reply.second, status)) {
+  if (type == FrameType::kMultiplyBatchResult) {
+    MultiplyBatchResult res;
+    if (decode_multiply_batch_result(payload, res)) {
+      out.items = std::move(res.items);
+      return out;
+    }
+    out.status = StatusCode::kProtocolError;
+    out.message = "malformed MULTIPLY_BATCH_RESULT";
+  } else if (type == FrameType::kStatus && decode_status(payload, status)) {
     out.status = status.code;
     out.message = std::move(status.message);
   } else {
@@ -340,6 +273,45 @@ SpmvNetClient::BatchResult SpmvNetClient::multiply_batch(
   }
   note_reply_status(out.status);
   return out;
+}
+
+std::vector<std::uint8_t> SpmvNetClient::encode_call(const MultiplyCall& call,
+                                                     bool first) {
+  MultiplyRequest req;
+  req.name = call.name;
+  req.deadline_us = call.deadline_us;
+  req.priority = call.priority;
+  req.operands.reserve(call.xs.size());
+  // On the first transmission the shadow evolves across items exactly as
+  // the server's cache does — item i's delta applies to item i-1's vector.
+  for (const auto x : call.xs) {
+    req.operands.push_back(first ? make_operand(x) : full_operand(x));
+  }
+  return encode_multiply(req);
+}
+
+std::uint64_t SpmvNetClient::send_multiply(const MultiplyCall& call) {
+  const std::uint64_t id = next_request_id_++;
+  io_deadline_ = Clock::now() + options_.timeout;
+  send_frame(call.type, id, encode_call(call, /*first=*/true));
+  return id;
+}
+
+std::pair<FrameType, std::vector<std::uint8_t>> SpmvNetClient::call_multiply(
+    const MultiplyCall& call) {
+  try {
+    if (!options_.retry.enabled) {
+      const std::uint64_t id = send_multiply(call);
+      io_deadline_ = ladder_deadline();
+      return await_frame(id);
+    }
+    return retry_call(call, next_request_id_++, ladder_deadline());
+  } catch (const std::exception& e) {
+    StatusMsg lost;
+    lost.code = StatusCode::kConnectionLost;
+    lost.message = e.what();
+    return {FrameType::kStatus, encode_status(lost)};
+  }
 }
 
 void SpmvNetClient::note_reply_status(StatusCode code) {
@@ -423,35 +395,8 @@ void SpmvNetClient::sleep_backoff(Clock::time_point deadline) {
   if (delay.count() > 0) std::this_thread::sleep_for(delay);
 }
 
-SpmvNetClient::Result SpmvNetClient::multiply_retrying(
-    const std::string& name, std::vector<double> full,
-    std::uint64_t deadline_us, std::int32_t priority) {
-  const std::uint64_t id = next_request_id_++;
-  auto encode = [&](bool first) {
-    MultiplyRequest req;
-    req.name = name;
-    req.deadline_us = deadline_us;
-    req.priority = priority;
-    req.operands.push_back(first ? make_operand(full) : full_operand(full));
-    return encode_multiply(req);
-  };
-  try {
-    auto [type, payload] =
-        retry_call(FrameType::kMultiply, id, encode, ladder_deadline());
-    Result r = to_result(type, payload);
-    note_reply_status(r.status);
-    return r;
-  } catch (const std::exception& e) {
-    Result r;
-    r.status = StatusCode::kConnectionLost;
-    r.message = e.what();
-    return r;
-  }
-}
-
 std::pair<FrameType, std::vector<std::uint8_t>> SpmvNetClient::retry_call(
-    FrameType type, std::uint64_t request_id,
-    const std::function<std::vector<std::uint8_t>(bool first)>& encode_attempt,
+    const MultiplyCall& call, std::uint64_t request_id,
     Clock::time_point deadline) {
   const auto& policy = options_.retry;
   bool first = true;       // first wire transmission (governs delta encoding)
@@ -502,9 +447,9 @@ std::pair<FrameType, std::vector<std::uint8_t>> SpmvNetClient::retry_call(
       // Each attempt gets one transport-level `timeout`, all of it inside
       // the ladder's cumulative budget.
       io_deadline_ = std::min(deadline, Clock::now() + options_.timeout);
-      const std::vector<std::uint8_t> payload = encode_attempt(first);
+      const std::vector<std::uint8_t> payload = encode_call(call, first);
       first = false;
-      send_frame(type, request_id, payload);
+      send_frame(call.type, request_id, payload);
       auto reply = await_frame(request_id);
       StatusMsg status;
       if (reply.first == FrameType::kStatus &&

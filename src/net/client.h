@@ -45,10 +45,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -221,20 +221,33 @@ class SpmvNetClient {
   /// `timeout` when no budget is set).
   [[nodiscard]] Clock::time_point ladder_deadline() const;
   /// Dense retransmission operand for `x`, with wire-cost accounting.
-  OperandSpec full_operand(const std::vector<double>& x);
-  /// Shared retry-ladder body for multiply and multiply_cached.
-  Result multiply_retrying(const std::string& name, std::vector<double> full,
-                           std::uint64_t deadline_us, std::int32_t priority);
+  OperandSpec full_operand(std::span<const double> x);
+  /// One MULTIPLY (k = 1) or MULTIPLY_BATCH: every multiply entry point
+  /// goes through the same build -> send -> await core.
+  struct MultiplyCall {
+    FrameType type;
+    std::string_view name;
+    std::span<const std::span<const double>> xs;
+    std::uint64_t deadline_us;
+    std::int32_t priority;
+  };
+  /// The request payload: delta-aware operands against the shadow on the
+  /// first transmission, dense ones (shadow untouched) on a retransmit.
+  std::vector<std::uint8_t> encode_call(const MultiplyCall& call, bool first);
+  /// Send `call` under a fresh request id (no retry); returns the id.
+  std::uint64_t send_multiply(const MultiplyCall& call);
+  /// Send `call` — under the retry ladder when enabled — and await its
+  /// reply frame.  A transport failure comes back as a synthesized
+  /// kConnectionLost STATUS frame.
+  std::pair<FrameType, std::vector<std::uint8_t>> call_multiply(
+      const MultiplyCall& call);
   /// Sleep the next backoff delay, clipped so we wake by `deadline`.
   void sleep_backoff(Clock::time_point deadline);
-  /// Run one sync multiply-shaped RPC under the retry ladder.
-  /// `encode_attempt(first)` builds the payload — delta-aware on the
-  /// first attempt, full-operand on retransmits.  Returns the reply
-  /// frame; throws std::runtime_error when the ladder exhausts.
+  /// Run `call` under the retry ladder: reconnect, resume, retransmit
+  /// under the same `request_id`.  Returns the reply frame; throws
+  /// std::runtime_error when the ladder exhausts.
   std::pair<FrameType, std::vector<std::uint8_t>> retry_call(
-      FrameType type, std::uint64_t request_id,
-      const std::function<std::vector<std::uint8_t>(bool first)>&
-          encode_attempt,
+      const MultiplyCall& call, std::uint64_t request_id,
       Clock::time_point deadline);
   void connect_internal(Clock::time_point deadline);
   /// Block until fd_ is ready for `events` or io_deadline_ lapses

@@ -48,35 +48,34 @@ void make_pipe(int fds[2]) {
 // ---------------------------------------------------------------------------
 // Private aggregates
 
-/// One in-flight multiply item: pins the operand snapshot it was
-/// submitted with (copy-on-write cache discipline — a later delta can
-/// never mutate it), owns the result buffer, and carries the future +
-/// cancel token.  Shared between the connection's in-flight map and the
-/// scheduler's on_complete hook; whichever side finishes last frees it,
-/// so a disconnect can never leak a future or dangle a buffer under the
-/// executing batch.
-struct SpmvServer::PendingOp {
-  std::uint64_t conn_id = 0;
-  std::uint64_t request_id = 0;
-  std::shared_ptr<ClientSlot> slot;
-  std::shared_ptr<const std::vector<double>> x;
-  std::vector<double> y;
-  std::future<void> future;
-  serve::CancelToken token;
-  Clock::time_point started;
-};
-
-/// A MULTIPLY_BATCH in flight: the reply ships only when every item
-/// resolved.  `remaining` is decremented by each item's completion hook
-/// (dispatcher threads); the decrementer that hits zero posts the batch
-/// to the owning I/O thread.
-struct SpmvServer::BatchState {
+/// One MULTIPLY or MULTIPLY_BATCH in flight (a MULTIPLY is a batch of
+/// one); the reply ships when every item resolved.  Each item pins the
+/// operand snapshot it was submitted with (copy-on-write cache
+/// discipline — a later delta can never mutate it), owns its result
+/// buffer, and carries its future + cancel token.  `remaining` is
+/// decremented by each item's completion hook (dispatcher threads); the
+/// decrementer that hits zero posts the request to the owning I/O thread.
+/// Shared between the connection's in-flight map and the hooks; whichever
+/// side finishes last frees it, so a disconnect can never leak a future
+/// or dangle a buffer under the executing batch.
+struct SpmvServer::InFlight {
+  struct Item {
+    std::shared_ptr<const std::vector<double>> x;
+    std::vector<double> y;
+    std::future<void> future;
+    serve::CancelToken token;
+  };
   std::uint64_t conn_id = 0;
   std::uint64_t request_id = 0;
   std::shared_ptr<ClientSlot> slot;
   Clock::time_point started;
-  std::vector<std::shared_ptr<PendingOp>> items;
+  bool batch = false;  ///< reply MULTIPLY_BATCH_RESULT, not MULTIPLY_RESULT
+  std::vector<Item> items;
   std::atomic<std::uint32_t> remaining{0};
+
+  void cancel() {
+    for (Item& item : items) (void)item.token.cancel();
+  }
 };
 
 struct SpmvServer::UploadJob {
@@ -100,8 +99,7 @@ struct SpmvServer::Conn {
   bool kill = false;       ///< close without flushing
   bool goodbye = false;    ///< clean GOODBYE exchanged: never park
   std::shared_ptr<ClientSlot> slot;  ///< null until HELLO
-  std::map<std::uint64_t, std::shared_ptr<PendingOp>> ops;
-  std::map<std::uint64_t, std::shared_ptr<BatchState>> batches;
+  std::map<std::uint64_t, std::shared_ptr<InFlight>> inflight;
   Clock::time_point last_activity;
   /// When the current partial frame started buffering; time_point{} when
   /// rdbuf holds no partial frame.  Anchored at frame start — per-byte
@@ -308,7 +306,6 @@ void SpmvServer::upload_loop() {
     c.conn_id = job.conn_id;
     c.frame = encode_frame(FrameType::kStatus, job.request_id,
                            encode_status(result));
-    c.has_frame = true;
     post_completion(job.io_index, std::move(c));
   }
 }
@@ -358,15 +355,16 @@ void SpmvServer::io_loop(unsigned index) {
 
     const int timeout_ms = needs_sweep_tick() ? 100 : -1;
     const int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    if (pfds[0].revents != 0) drain_pipe(io.doorbell[0]);
     // acquire: pairs with stop()'s release store after the scheduler
     // drained — everything the drain produced is in our inbox by now.
+    // Tested after the doorbell drain: a stop ring consumed above was
+    // written after the store, and one still unread wakes the next poll.
     if (io_stopping_.load(std::memory_order_acquire)) break;
     if (rc < 0) {
       if (errno == EINTR) continue;
       break;  // unrecoverable poll failure; shutdown will reap
     }
-
-    if (pfds[0].revents != 0) drain_pipe(io.doorbell[0]);
     drain_inbox(io);
 
     if (stop_slot >= 0 && pfds[stop_slot].revents != 0) {
@@ -376,7 +374,7 @@ void SpmvServer::io_loop(unsigned index) {
       wait_cv_.notify_all();
     }
     if (listen_slot >= 0 && (pfds[listen_slot].revents & POLLIN) != 0) {
-      accept_ready(io);
+      accept_ready();
     }
 
     for (std::size_t i = 0; i < pfds.size(); ++i) {
@@ -406,9 +404,20 @@ void SpmvServer::io_loop(unsigned index) {
   }
 
   // --- final pass: the scheduler already drained, so the inbox holds
-  // every outstanding completion.  Answer them, say GOODBYE, flush, close.
+  // every outstanding completion.  Answer them, then the requests still
+  // unread in the sockets (SHUTDOWN: draining admits nothing) — closing
+  // over unread input would send RST and lose the replies queued before
+  // it.  Then say GOODBYE, flush, close.
   drain_pipe(io.doorbell[0]);
   drain_inbox(io);
+  std::vector<std::uint64_t> live;
+  for (const auto& [id, conn] : io.conns) live.push_back(id);
+  for (const std::uint64_t id : live) {
+    auto it = io.conns.find(id);
+    if (it != io.conns.end() && !it->second->kill) {
+      handle_readable(io, *it->second);
+    }
+  }
   for (auto& [id, conn] : io.conns) {
     if (conn->slot != nullptr && !conn->kill) {
       send_frame(*conn, FrameType::kGoodbye, 0, {});
@@ -442,8 +451,7 @@ void SpmvServer::io_loop(unsigned index) {
   while (!io.conns.empty()) close_conn(io, io.conns.begin()->first);
 }
 
-void SpmvServer::accept_ready(IoThread& io0) {
-  (void)io0;
+void SpmvServer::accept_ready() {
   for (;;) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -694,10 +702,7 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
       // Graceful client exit: in-flight work is cancelled (their
       // completions will be dropped), the farewell is acknowledged, and
       // the connection closes once the reply flushed.
-      for (auto& [id, op] : conn.ops) (void)op->token.cancel();
-      for (auto& [id, b] : conn.batches) {
-        for (auto& item : b->items) (void)item->token.cancel();
-      }
+      for (auto& [id, request] : conn.inflight) request->cancel();
       send_frame(conn, FrameType::kGoodbye, header.request_id, {});
       conn.goodbye = true;  // clean exit: the session is never parked
       conn.closing = true;
@@ -767,18 +772,19 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
     return;
   }
   const auto k = static_cast<std::uint32_t>(req.operands.size());
+  auto request = std::make_shared<InFlight>();
+  request->items.resize(k);
 
   // Resolve every operand to a pinned snapshot BEFORE submitting or
   // publishing anything: a structurally bad item rejects the whole
   // request and leaves the session cache untouched.  Deltas chain — item
   // i patches item i-1's vector (copy-on-write, so snapshots already
   // pinned by earlier requests are never mutated).
-  std::vector<std::shared_ptr<const std::vector<double>>> xs;
   std::vector<std::uint64_t> shipped;
-  xs.reserve(k);
   shipped.reserve(k);
   std::shared_ptr<const std::vector<double>> cur = slot.cached_x();
-  for (OperandSpec& spec : req.operands) {
+  for (std::uint32_t i = 0; i < k; ++i) {
+    OperandSpec& spec = req.operands[i];
     shipped.push_back(operand_wire_bytes(spec));
     switch (spec.mode) {
       case OperandMode::kFull:
@@ -809,7 +815,7 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
         }
         break;
     }
-    xs.push_back(cur);
+    request->items[i].x = cur;
   }
   // Publish the evolved cache BEFORE any admission check.  The client's
   // shadow advances unconditionally the moment it ships the frame, so the
@@ -849,8 +855,8 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
   const std::uint32_t cols = entry->plan.cols();
   const std::uint64_t dense_bytes =
       static_cast<std::uint64_t>(cols) * sizeof(double);
-  for (const auto& x : xs) {
-    if (x->size() != cols) {
+  for (const InFlight::Item& item : request->items) {
+    if (item.x->size() != cols) {
       decide_status(conn, slot, header.request_id, StatusCode::kBadRequest,
                     "operand length mismatch");
       return;
@@ -874,73 +880,36 @@ void SpmvServer::handle_multiply(IoThread& io, Conn& conn,
   // relaxed: statistics counter.
   requests_.fetch_add(k, std::memory_order_relaxed);
 
-  const auto now = Clock::now();
-  serve::SubmitOptions base;
-  if (req.deadline_us != 0) {
-    base.deadline = now + std::chrono::microseconds(req.deadline_us);
-  }
-  base.priority = req.priority;
-  const unsigned io_index = io.index;
-
-  auto make_op = [&](std::size_t i) {
-    auto op = std::make_shared<PendingOp>();
-    op->conn_id = conn.id;
-    op->request_id = header.request_id;
-    op->slot = conn.slot;
-    op->x = xs[i];
-    op->y.assign(rows, 0.0);  // engine semantics are y += A·x
-    op->started = now;
-    return op;
-  };
-
-  if (!batch) {
-    auto op = make_op(0);
-    conn.ops.emplace(header.request_id, op);
-    serve::SubmitOptions opts = base;
-    opts.on_complete = [this, io_index, op] {
-      Completion c;
-      c.conn_id = op->conn_id;
-      c.op = op;
-      post_completion(io_index, std::move(c));
-    };
-    auto handle = scheduler_.submit(
-        entry, std::span<const double>(*op->x), std::span<double>(op->y),
-        opts);
-    op->future = std::move(handle.future);
-    op->token = std::move(handle.token);
-    return;
-  }
-
-  auto bs = std::make_shared<BatchState>();
-  bs->conn_id = conn.id;
-  bs->request_id = header.request_id;
-  bs->slot = conn.slot;
-  bs->started = now;
+  request->conn_id = conn.id;
+  request->request_id = header.request_id;
+  request->slot = conn.slot;
+  request->started = Clock::now();
+  request->batch = batch;
   // relaxed: published to the hooks via the submit calls below, which
   // happen-after this store on this thread.
-  bs->remaining.store(k, std::memory_order_relaxed);
-  bs->items.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) bs->items.push_back(make_op(i));
-  conn.batches.emplace(header.request_id, bs);
-  for (std::size_t i = 0; i < k; ++i) {
-    auto& op = bs->items[i];
-    serve::SubmitOptions opts = base;
-    opts.on_complete = [this, io_index, bs] {
-      // acq_rel: each item's decrement releases its resolution; the
-      // decrementer that observes zero acquires all of them, so the
-      // batch posts with every item's outcome visible.
-      if (bs->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        Completion c;
-        c.conn_id = bs->conn_id;
-        c.batch = bs;
-        post_completion(io_index, std::move(c));
-      }
-    };
-    auto handle = scheduler_.submit(
-        entry, std::span<const double>(*op->x), std::span<double>(op->y),
-        opts);
-    op->future = std::move(handle.future);
-    op->token = std::move(handle.token);
+  request->remaining.store(k, std::memory_order_relaxed);
+  conn.inflight.emplace(header.request_id, request);
+
+  serve::SubmitOptions opts;
+  if (req.deadline_us != 0) {
+    opts.deadline =
+        request->started + std::chrono::microseconds(req.deadline_us);
+  }
+  opts.priority = req.priority;
+  opts.on_complete = [this, io_index = io.index, request] {
+    // acq_rel: each item's decrement releases its resolution; the
+    // decrementer that observes zero acquires all of them, so the
+    // request posts with every item's outcome visible.
+    if (request->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      post_completion(io_index, {request->conn_id, request, {}});
+    }
+  };
+  for (InFlight::Item& item : request->items) {
+    item.y.assign(rows, 0.0);  // engine semantics are y += A·x
+    auto handle = scheduler_.submit(entry, std::span<const double>(*item.x),
+                                    std::span<double>(item.y), opts);
+    item.future = std::move(handle.future);
+    item.token = std::move(handle.token);
   }
 }
 
@@ -952,15 +921,9 @@ void SpmvServer::handle_cancel(Conn& conn, std::uint64_t request_id,
                 "malformed CANCEL");
     return;
   }
-  bool known = false;
-  if (auto it = conn.ops.find(req.target_id); it != conn.ops.end()) {
-    known = true;
-    (void)it->second->token.cancel();
-  } else if (auto bit = conn.batches.find(req.target_id);
-             bit != conn.batches.end()) {
-    known = true;
-    for (auto& item : bit->second->items) (void)item->token.cancel();
-  }
+  const auto it = conn.inflight.find(req.target_id);
+  const bool known = it != conn.inflight.end();
+  if (known) it->second->cancel();
   // kOk acknowledges delivery, not outcome: the multiply itself answers
   // kCancelled or its result, whichever won the race.
   send_status(conn, request_id, known ? StatusCode::kOk : StatusCode::kNotFound,
@@ -1011,9 +974,10 @@ void SpmvServer::handle_health(Conn& conn, std::uint64_t request_id) {
 // ---------------------------------------------------------------------------
 // Completion path (I/O thread, fed by dispatcher hooks + control thread)
 
-StatusCode SpmvServer::op_status(PendingOp& op, std::string& message) {
+StatusCode SpmvServer::op_status(std::future<void>& future,
+                                 std::string& message) {
   try {
-    op.future.get();
+    future.get();
     return StatusCode::kOk;
   } catch (const serve::ServeError& e) {
     message = e.what();
@@ -1048,7 +1012,7 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
   auto it = io.conns.find(c.conn_id);
   Conn* conn = it == io.conns.end() ? nullptr : it->second.get();
 
-  if (c.has_frame) {  // pre-encoded reply (upload results — not replayed)
+  if (c.request == nullptr) {  // pre-encoded reply (uploads — not replayed)
     if (conn == nullptr) {
       // relaxed: statistics counter.
       completions_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -1058,91 +1022,46 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
     return;
   }
 
-  const auto now = Clock::now();
-  if (c.op != nullptr) {
-    ClientSlot& slot = *c.op->slot;
-    const std::uint64_t request_id = c.op->request_id;
-    std::string msg;
-    const StatusCode sc = op_status(*c.op, msg);
-    const bool ok = sc == StatusCode::kOk;
-    const auto ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now -
-                                                             c.op->started)
-            .count());
-    if (sc == StatusCode::kShed) {
-      // relaxed: statistics counter.
-      shed_replies_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::vector<std::uint8_t> frame;
-    try {
-      if (ok) {
-        MultiplyResult res;
-        res.y = std::move(c.op->y);
-        frame = encode_frame(FrameType::kMultiplyResult, request_id,
-                             encode_multiply_result(res));
-      } else {
-        StatusMsg m;
-        m.code = sc;
-        m.message = std::move(msg);
-        frame = encode_frame(FrameType::kStatus, request_id,
-                             encode_status(m));
-      }
-    } catch (const std::length_error&) {
-      // relaxed: statistics counter.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (conn != nullptr) conn->kill = true;
-      return;
-    }
-    if (conn == nullptr) {
-      // The connection died while the request was in flight.  If the
-      // session is parked (or already re-attached elsewhere), record the
-      // decision into its replay window so the retransmission gets the
-      // same reply; if the session closed with it, drop exactly once.
-      if (slot.record_orphan(request_id, ok ? 1 : 0, ok ? 0 : 1, ns,
-                             std::move(frame), config_.replay_window)) {
-        // relaxed: statistics counter.
-        completions_parked_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        // relaxed: statistics counter.
-        completions_dropped_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
-    conn->ops.erase(request_id);
-    slot.count_outcome(ok, ns);
-    decide_and_send(*conn, slot, request_id, std::move(frame));
-    return;
-  }
-
-  BatchState& bs = *c.batch;
-  ClientSlot& slot = *bs.slot;
-  MultiplyBatchResult res;
-  res.items.reserve(bs.items.size());
+  InFlight& r = *c.request;
+  ClientSlot& slot = *r.slot;
   const auto ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(now - bs.started)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           r.started)
           .count());
+  MultiplyBatchResult res;
+  res.items.reserve(r.items.size());
+  std::string msg;  // a MULTIPLY's STATUS text; batch items carry codes
   std::uint32_t ok_items = 0;
-  std::uint32_t failed_items = 0;
-  for (auto& item : bs.items) {
+  for (InFlight::Item& item : r.items) {
     BatchItemResult out;
-    std::string msg;
-    out.status = op_status(*item, msg);
+    out.status = op_status(item.future, msg);
     if (out.status == StatusCode::kOk) {
-      out.y = std::move(item->y);
+      out.y = std::move(item.y);
       ++ok_items;
-    } else {
-      ++failed_items;
-    }
-    if (out.status == StatusCode::kShed) {
+    } else if (out.status == StatusCode::kShed) {
       // relaxed: statistics counter.
       shed_replies_.fetch_add(1, std::memory_order_relaxed);
     }
     res.items.push_back(std::move(out));
   }
+  const auto failed_items =
+      static_cast<std::uint32_t>(res.items.size()) - ok_items;
   std::vector<std::uint8_t> frame;
   try {
-    frame = encode_frame(FrameType::kMultiplyBatchResult, bs.request_id,
-                         encode_multiply_batch_result(res));
+    if (r.batch) {
+      frame = encode_frame(FrameType::kMultiplyBatchResult, r.request_id,
+                           encode_multiply_batch_result(res));
+    } else if (ok_items == 1) {
+      MultiplyResult one;
+      one.y = std::move(res.items[0].y);
+      frame = encode_frame(FrameType::kMultiplyResult, r.request_id,
+                           encode_multiply_result(one));
+    } else {
+      StatusMsg m;
+      m.code = res.items[0].status;
+      m.message = std::move(msg);
+      frame = encode_frame(FrameType::kStatus, r.request_id, encode_status(m));
+    }
   } catch (const std::length_error&) {
     // relaxed: statistics counter.
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -1150,7 +1069,11 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
     return;
   }
   if (conn == nullptr) {
-    if (slot.record_orphan(bs.request_id, ok_items, failed_items, ns,
+    // The connection died while the request was in flight.  If the
+    // session is parked (or already re-attached elsewhere), record the
+    // decision into its replay window so the retransmission gets the
+    // same reply; if the session closed with it, drop exactly once.
+    if (slot.record_orphan(r.request_id, ok_items, failed_items, ns,
                            std::move(frame), config_.replay_window)) {
       // relaxed: statistics counter.
       completions_parked_.fetch_add(1, std::memory_order_relaxed);
@@ -1160,12 +1083,11 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
     }
     return;
   }
-  conn->batches.erase(bs.request_id);
-  for (std::uint32_t i = 0; i < ok_items; ++i) slot.count_outcome(true, ns);
-  for (std::uint32_t i = 0; i < failed_items; ++i) {
-    slot.count_outcome(false, ns);
+  conn->inflight.erase(r.request_id);
+  for (const BatchItemResult& out : res.items) {
+    slot.count_outcome(out.status == StatusCode::kOk, ns);
   }
-  decide_and_send(*conn, slot, bs.request_id, std::move(frame));
+  decide_and_send(*conn, slot, r.request_id, std::move(frame));
 }
 
 // ---------------------------------------------------------------------------
@@ -1311,10 +1233,7 @@ void SpmvServer::close_conn(IoThread& io, std::uint64_t conn_id) {
         break;
     }
   } else {
-    for (auto& [id, op] : conn.ops) (void)op->token.cancel();
-    for (auto& [id, b] : conn.batches) {
-      for (auto& item : b->items) (void)item->token.cancel();
-    }
+    for (auto& [id, request] : conn.inflight) request->cancel();
     // Owner-conditional: if a resume raced this permanent close and took
     // the session over, its death here must not retire it.
     if (conn.slot != nullptr) sessions_.close(conn.slot->id, conn.id);
@@ -1373,7 +1292,7 @@ void SpmvServer::reap_idle(IoThread& io) {
       continue;
     }
     if (config_.idle_timeout.count() <= 0) continue;
-    if (!conn->ops.empty() || !conn->batches.empty()) continue;
+    if (!conn->inflight.empty()) continue;
     if (now - conn->last_activity >= config_.idle_timeout) {
       doomed.push_back(id);
     }

@@ -11,18 +11,23 @@
 //   UPLOAD_MATRIX ──queue──► control thread   └─ completion inbox drain
 //        (registry.put tunes off-loop)                 ▲
 //                                                      │ doorbell write
-//   MULTIPLY ──Scheduler::submit(on_complete=hook)─────┘
-//              (hook runs on the resolving dispatcher: push + wake, O(1))
+//   MULTIPLY(_BATCH) ──Scheduler::submit per item──────┘
+//              (the hook of the last item to resolve: push + wake, O(1))
 //
-// Responses complete asynchronously off the scheduler's future
-// resolution: the SubmitOptions::on_complete hook pushes a completion
-// record onto the owning I/O thread's inbox and rings its doorbell pipe —
-// no thread ever blocks on a future, and there is no thread-per-request
-// anywhere.  Operand lifetime is pin-based like the rest of the serving
-// plane: each request holds shared ownership of the exact cached-vector
-// snapshot it was submitted with (see net/session.h), its y buffer, and
-// its registry entry, all carried in the completion record until the
-// reply is written.
+// A MULTIPLY is a MULTIPLY_BATCH of one.  Both frames become the same
+// in-flight request — k items, each with its pinned x, its y, its future
+// and its cancel token — and one countdown: every item's
+// SubmitOptions::on_complete hook decrements it, and the hook that
+// reaches zero pushes the request onto the owning I/O thread's inbox and
+// rings its doorbell pipe.  No thread ever blocks on a future, and there
+// is no thread-per-request anywhere.  CANCEL, GOODBYE and disconnect
+// cancel every item; the replay window records one reply per request.
+// Only the reply encoding depends on the frame type: MULTIPLY_RESULT (or
+// STATUS) for a MULTIPLY, MULTIPLY_BATCH_RESULT for a batch.  Operand
+// lifetime is pin-based like the rest of the serving plane: each item
+// holds shared ownership of the exact cached-vector snapshot it was
+// submitted with (see net/session.h), and the request holds its y
+// buffers until the reply is written.
 //
 // Protocol events map onto the serving primitives one-to-one:
 //   RPC deadline      → SubmitOptions::deadline (expiry sweeps, EWMA shed)
@@ -44,6 +49,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -175,23 +181,20 @@ class SpmvServer {
   [[nodiscard]] NetStatsSnapshot net_stats() const;
 
  private:
-  struct PendingOp;
-  struct BatchState;
-  /// One message for an I/O thread's inbox: a resolved single op, a fully
-  /// resolved batch, or a pre-encoded reply frame (upload results).
+  struct InFlight;
+  /// One message for an I/O thread's inbox: a fully resolved multiply
+  /// request, or (request null) a pre-encoded reply frame — upload results.
   struct Completion {
     std::uint64_t conn_id = 0;
-    std::shared_ptr<PendingOp> op;
-    std::shared_ptr<BatchState> batch;
+    std::shared_ptr<InFlight> request;
     std::vector<std::uint8_t> frame;
-    bool has_frame = false;
   };
   struct Conn;
   struct IoThread;
   struct UploadJob;
 
   void io_loop(unsigned index);
-  void accept_ready(IoThread& io0);
+  void accept_ready();
   void upload_loop() SPMV_EXCLUDES(upload_mutex_);
 
   void handle_readable(IoThread& io, Conn& conn);
@@ -206,7 +209,7 @@ class SpmvServer {
 
   void process_completion(IoThread& io, Completion&& c);
   /// Reply outcome of one resolved scheduler future.
-  StatusCode op_status(PendingOp& op, std::string& message);
+  StatusCode op_status(std::future<void>& future, std::string& message);
 
   void send_frame(Conn& conn, FrameType type, std::uint64_t request_id,
                   std::span<const std::uint8_t> payload);

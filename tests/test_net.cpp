@@ -16,12 +16,15 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <random>
 #include <thread>
 #include <vector>
 
+#include "matrix/csr.h"
 #include "net/chaos_proxy.h"
 #include "net/client.h"
 
@@ -167,6 +170,15 @@ TEST(NetLoopback, MultiplyMatchesReference) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_NEAR(r.y[i], want[i], 1e-12) << "i=" << i;
   }
+  // A MULTIPLY_BATCH of one is the same multiply: bitwise the same y.
+  const auto one = loop.client->multiply_batch("A", {x});
+  ASSERT_EQ(one.status, StatusCode::kOk) << one.message;
+  ASSERT_EQ(one.items.size(), 1u);
+  ASSERT_EQ(one.items[0].status, StatusCode::kOk);
+  ASSERT_EQ(one.items[0].y.size(), r.y.size());
+  EXPECT_EQ(std::memcmp(one.items[0].y.data(), r.y.data(),
+                        r.y.size() * sizeof(double)),
+            0);
 }
 
 // The acceptance criterion: a delta-updated operand produces a result
@@ -330,6 +342,11 @@ TEST(NetLoopback, ShedAnsweredAsShedFrame) {
   for (int i = 0; i < 16; ++i) {
     ids.push_back(loop.client->begin_multiply("A", x));
   }
+  // Resume only once every request reached the paused queue: resuming
+  // while frames are still unread lets the dispatcher drain as they
+  // arrive, and nothing sheds.
+  ASSERT_TRUE(
+      wait_until([&] { return loop.server.net_stats().requests >= 16; }));
   loop.server.scheduler().resume();
   int ok = 0;
   int shed = 0;
@@ -439,6 +456,58 @@ TEST(NetLoopback, DrainAnswersAllInFlight) {
     if (r.status != StatusCode::kConnectionLost) ++answered;
   }
   EXPECT_EQ(answered, 8);
+}
+
+// stop() must return every time, with pipelined requests in flight: a
+// stop ring that lands between poll() returning and the doorbell drain
+// must not be lost.  A watchdog turns a hang into a test failure.
+TEST(NetLoopback, StartStopStressNeverHangs) {
+  const TestMatrix m = tridiag(33);
+  const auto x = random_x(m.n, 15);
+  std::atomic<int> cycles{0};
+  std::atomic<bool> done{false};
+  std::thread watchdog([&] {
+    int seen = -1;
+    auto last = std::chrono::steady_clock::now();
+    // relaxed: progress polling only; the join below orders the exit.
+    while (!done.load(std::memory_order_relaxed)) {
+      std::this_thread::sleep_for(20ms);
+      const int c = cycles.load(std::memory_order_relaxed);
+      const auto now = std::chrono::steady_clock::now();
+      if (c != seen) {
+        seen = c;
+        last = now;
+      } else if (now - last > 30s) {
+        std::fprintf(stderr, "StartStopStressNeverHangs: cycle %d hung\n", c);
+        std::abort();
+      }
+    }
+  });
+  constexpr int kCycles = 300;
+  for (int i = 0; i < kCycles; ++i) {
+    SpmvServer server;
+    server.start();
+    server.registry().put(
+        "A", CsrMatrix(m.n, m.n, m.row_ptr, m.col_idx, m.values), {});
+    ClientOptions copts;
+    copts.port = server.port();
+    SpmvNetClient client(copts);
+    client.connect();
+    std::vector<std::uint64_t> ids;
+    for (int k = 0; k < 4; ++k) ids.push_back(client.begin_multiply("A", x));
+    server.stop();
+    for (const auto id : ids) {
+      const auto r = client.await(id);
+      EXPECT_TRUE(r.status == StatusCode::kOk ||
+                  r.status == StatusCode::kShutdown)
+          << "cycle " << i << ": " << to_string(r.status) << ": "
+          << r.message;
+    }
+    // relaxed: progress signal for the watchdog.
+    cycles.fetch_add(1, std::memory_order_relaxed);
+  }
+  done.store(true, std::memory_order_relaxed);
+  watchdog.join();
 }
 
 TEST(NetLoopback, GoodbyeAnnouncedOnDrain) {
@@ -581,6 +650,150 @@ TEST(NetLoopback, OversizedFrameRejectedBeforeBuffering) {
   StatusMsg msg;
   ASSERT_TRUE(decode_status(p, msg));
   EXPECT_EQ(msg.code, StatusCode::kProtocolError);
+}
+
+/// A session driven frame by frame over a raw socket: the client library
+/// cannot pipeline a MULTIPLY_BATCH, but CANCEL, GOODBYE and
+/// retransmission against one in flight need exactly that.
+struct RawSession {
+  explicit RawSession(std::uint16_t port) : fd(raw_connect(port)) {
+    const timeval limit{10, 0};  // a lost reply fails, never hangs
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit);
+    send(FrameType::kHello, 1, encode_hello(HelloRequest{}));
+    EXPECT_EQ(recv().type, FrameType::kHelloOk);
+  }
+  ~RawSession() {
+    if (fd >= 0) ::close(fd);
+  }
+  RawSession(const RawSession&) = delete;
+  RawSession& operator=(const RawSession&) = delete;
+
+  void send(FrameType type, std::uint64_t id,
+            std::span<const std::uint8_t> payload) {
+    const auto frame = encode_frame(type, id, payload);
+    ASSERT_EQ(::write(fd, frame.data(), frame.size()),
+              static_cast<ssize_t>(frame.size()));
+  }
+
+  /// Next frame; `last_frame` keeps its exact bytes.
+  FrameHeader recv() {
+    for (;;) {
+      FrameHeader h;
+      std::span<const std::uint8_t> p;
+      std::size_t consumed = 0;
+      if (parse_frame(buf, kMaxSanePayload, h, p, consumed) ==
+          ParseStatus::kFrame) {
+        payload.assign(p.begin(), p.end());
+        last_frame.assign(buf.begin(), buf.begin() + consumed);
+        buf.erase(buf.begin(), buf.begin() + consumed);
+        return h;
+      }
+      std::uint8_t chunk[4096];
+      const ssize_t n = ::read(fd, chunk, sizeof chunk);
+      if (n <= 0) {
+        ADD_FAILURE() << "connection ended before a reply";
+        return {};
+      }
+      buf.insert(buf.end(), chunk, chunk + n);
+    }
+  }
+
+  int fd;
+  std::vector<std::uint8_t> buf;
+  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> last_frame;
+};
+
+std::vector<std::uint8_t> batch_payload(const std::vector<double>& x, int k) {
+  MultiplyRequest req;
+  req.name = "A";
+  for (int i = 0; i < k; ++i) {
+    OperandSpec spec;
+    spec.n = static_cast<std::uint32_t>(x.size());
+    spec.full = x;
+    req.operands.push_back(std::move(spec));
+  }
+  return encode_multiply(req);
+}
+
+// CANCEL naming a MULTIPLY_BATCH id reaches every item of the batch.
+TEST(NetLoopback, CancelReachesEveryBatchItem) {
+  ServerConfig cfg;
+  cfg.scheduler.start_paused = true;
+  Loop loop(cfg);
+  RawSession s(loop.server.port());
+  const auto x = random_x(loop.m.n, 16);
+  s.send(FrameType::kMultiplyBatch, 7, batch_payload(x, 3));
+  CancelRequest cancel;
+  cancel.target_id = 7;
+  s.send(FrameType::kCancel, 8, encode_cancel(cancel));
+  ASSERT_EQ(s.recv().request_id, 8u);
+  StatusMsg ack;
+  ASSERT_TRUE(decode_status(s.payload, ack));
+  EXPECT_EQ(ack.code, StatusCode::kOk) << ack.message;
+  loop.server.scheduler().resume();
+  const FrameHeader h = s.recv();
+  ASSERT_EQ(h.request_id, 7u);
+  ASSERT_EQ(h.type, FrameType::kMultiplyBatchResult);
+  MultiplyBatchResult res;
+  ASSERT_TRUE(decode_multiply_batch_result(s.payload, res));
+  ASSERT_EQ(res.items.size(), 3u);
+  for (const auto& item : res.items) {
+    EXPECT_EQ(item.status, StatusCode::kCancelled);
+  }
+  EXPECT_GE(loop.server.scheduler().stats().data_plane.requests_cancelled, 3u);
+}
+
+// A batch in flight when its connection ends (GOODBYE, or an abrupt
+// close) is cancelled item by item, and its one completion is dropped
+// exactly once: per request, not per item.
+TEST(NetLoopback, BatchInFlightAtCloseDropsOnce) {
+  for (const bool goodbye : {true, false}) {
+    SCOPED_TRACE(goodbye ? "GOODBYE" : "disconnect");
+    ServerConfig cfg;
+    cfg.scheduler.start_paused = true;
+    Loop loop(cfg);
+    loop.client.reset();  // only the raw session remains
+    ASSERT_TRUE(
+        wait_until([&] { return loop.server.sessions().active() == 0; }));
+    auto s = std::make_unique<RawSession>(loop.server.port());
+    const auto x = random_x(loop.m.n, 17);
+    s->send(FrameType::kMultiplyBatch, 7, batch_payload(x, 3));
+    if (goodbye) {
+      s->send(FrameType::kGoodbye, 8, {});
+      EXPECT_EQ(s->recv().type, FrameType::kGoodbye);
+    }
+    s.reset();
+    ASSERT_TRUE(
+        wait_until([&] { return loop.server.sessions().active() == 0; }));
+    loop.server.scheduler().resume();
+    ASSERT_TRUE(wait_until([&] {
+      return loop.server.scheduler().stats().data_plane.requests_cancelled >=
+             3;
+    }));
+    ASSERT_TRUE(wait_until(
+        [&] { return loop.server.net_stats().completions_dropped >= 1; }));
+    std::this_thread::sleep_for(20ms);
+    EXPECT_EQ(loop.server.net_stats().completions_dropped, 1u);
+  }
+}
+
+// A retransmitted MULTIPLY_BATCH id replays the recorded reply byte for
+// byte and executes nothing.
+TEST(NetLoopback, BatchRetransmitReplaysVerbatim) {
+  Loop loop;
+  RawSession s(loop.server.port());
+  const auto x = random_x(loop.m.n, 18);
+  s.send(FrameType::kMultiplyBatch, 7, batch_payload(x, 2));
+  ASSERT_EQ(s.recv().type, FrameType::kMultiplyBatchResult);
+  const auto first = s.last_frame;
+  ASSERT_TRUE(wait_until(
+      [&] { return loop.server.scheduler().stats().total_completed() == 2; }));
+  s.send(FrameType::kMultiplyBatch, 7, batch_payload(x, 2));
+  ASSERT_EQ(s.recv().request_id, 7u);
+  EXPECT_EQ(s.last_frame, first);
+  EXPECT_EQ(loop.server.scheduler().stats().total_completed(), 2u);
+  EXPECT_EQ(loop.server.net_stats().replay_hits, 1u);
 }
 
 // --- concurrency smoke ------------------------------------------------------

@@ -114,14 +114,7 @@ TEST(ThreadPool, DestructionWithoutRunsIsClean) {
   // No run() at all: destructor must join cleanly (no hang, no crash).
 }
 
-// --- spin dispatch mode ---
-
-TEST(ThreadPoolSpin, RunsEveryTidExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(4);
-  pool.run([&](unsigned tid) { hits[tid].fetch_add(1); }, WaitMode::kSpin);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
+// --- spin-then-park barrier ---
 
 TEST(ThreadPoolSpin, BackToBackDispatchesOnWarmPool) {
   // The hot loop the mode exists for: workers should catch successive
@@ -129,7 +122,7 @@ TEST(ThreadPoolSpin, BackToBackDispatchesOnWarmPool) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   for (int i = 0; i < 500; ++i) {
-    pool.run([&](unsigned) { counter.fetch_add(1); }, WaitMode::kSpin);
+    pool.run([&](unsigned) { counter.fetch_add(1); });
   }
   EXPECT_EQ(counter.load(), 1000);
 }
@@ -137,67 +130,41 @@ TEST(ThreadPoolSpin, BackToBackDispatchesOnWarmPool) {
 TEST(ThreadPoolSpin, ParkAfterBudgetThenWakeForNextDispatch) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
-  pool.run([&](unsigned) { counter.fetch_add(1); }, WaitMode::kSpin);
+  pool.run([&](unsigned) { counter.fetch_add(1); });
   // Sleep far past the ~50µs spin budget so every worker has parked on
   // the condvar; the next spin dispatch must still wake them.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  pool.run([&](unsigned) { counter.fetch_add(1); }, WaitMode::kSpin);
+  pool.run([&](unsigned) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 6);
 }
 
-TEST(ThreadPoolSpin, AlternatingModesInterleaveCleanly) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    const WaitMode mode = i % 2 == 0 ? WaitMode::kSpin : WaitMode::kCondvar;
-    pool.run([&](unsigned) { counter.fetch_add(1); }, mode);
-  }
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPoolSpin, PartialWidthHitsOnlyActiveTids) {
-  ThreadPool pool(6);
-  std::vector<std::atomic<int>> hits(6);
-  pool.run(2, [&](unsigned tid) { hits[tid].fetch_add(1); },
-           WaitMode::kSpin);
-  EXPECT_EQ(hits[0].load(), 1);
-  EXPECT_EQ(hits[1].load(), 1);
-  for (std::size_t t = 2; t < 6; ++t) EXPECT_EQ(hits[t].load(), 0);
-}
-
 TEST(ThreadPoolSpin, ExceptionPropagatesFirstOnly) {
-  // Regression (the condvar path recorded only the first exception after
-  // the barrier; the lock-free path must preserve that contract): all
-  // workers throw, exactly one exception propagates, the barrier still
-  // completes, and the pool stays usable in both modes afterwards.
+  // Regression: all tids throw, exactly one exception propagates after
+  // the barrier (the first-exception contract), the barrier still
+  // completes, and the pool stays usable afterwards.
   ThreadPool pool(3);
   try {
-    pool.run(
-        [](unsigned tid) {
-          throw std::runtime_error("boom " + std::to_string(tid));
-        },
-        WaitMode::kSpin);
+    pool.run([](unsigned tid) {
+      throw std::runtime_error("boom " + std::to_string(tid));
+    });
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()).rfind("boom ", 0), 0u) << e.what();
   }
   std::atomic<int> counter{0};
-  pool.run([&](unsigned) { counter.fetch_add(1); }, WaitMode::kSpin);
-  pool.run([&](unsigned) { counter.fetch_add(1); }, WaitMode::kCondvar);
+  pool.run([&](unsigned) { counter.fetch_add(1); });
+  pool.run([&](unsigned) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 6);
 }
 
 TEST(ThreadPoolSpin, SingleThrowerAmongWorkers) {
   ThreadPool pool(4);
   std::atomic<int> completed{0};
-  EXPECT_THROW(
-      pool.run(
-          [&](unsigned tid) {
-            if (tid == 2) throw std::logic_error("just tid 2");
-            completed.fetch_add(1);
-          },
-          WaitMode::kSpin),
-      std::logic_error);
+  const auto task = [&](unsigned tid) {
+    if (tid == 2) throw std::logic_error("just tid 2");
+    completed.fetch_add(1);
+  };
+  EXPECT_THROW(pool.run(task), std::logic_error);
   // The barrier waited for everyone, not just the thrower.
   EXPECT_EQ(completed.load(), 3);
 }
@@ -207,7 +174,7 @@ TEST(ThreadPoolSpin, ManyDispatchesWithRandomGaps) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   for (int i = 0; i < 40; ++i) {
-    pool.run([&](unsigned) { counter.fetch_add(1); }, WaitMode::kSpin);
+    pool.run([&](unsigned) { counter.fetch_add(1); });
     if (i % 8 == 7) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
