@@ -1,4 +1,4 @@
-// Engine batch amortization: fused SpMM vs batched-looped vs looped.
+// Engine batch amortization: multiply_batch vs looped multiply().
 //
 // A server answering many simultaneous SpMV requests over one planned
 // matrix pays, per multiply(), a pool dispatch + barrier AND a full sweep
@@ -6,19 +6,18 @@
 //
 //   looped    one multiply() per right-hand side — a dispatch and a
 //             matrix stream each;
-//   batched   one multiply_batch_looped() dispatch: each worker sweeps
-//             its blocks once per right-hand side (dispatch amortized,
-//             stream not);
-//   fused     multiply_batch() with fusion on: operands packed into
-//             k-wide panels, each worker streams its blocks ONCE per
-//             chunk applying every nonzero to all k right-hand sides
-//             (dispatch AND matrix stream amortized; pack cost included).
+//   batch     one multiply_batch().  At or past the plan's fused-batch
+//             crossover the operands are packed into k-wide panels and
+//             each worker streams its blocks ONCE per chunk, applying
+//             every nonzero to all k right-hand sides (dispatch AND matrix
+//             stream amortized; pack cost included).  Below it, one
+//             dispatch sweeps each right-hand side in turn (dispatch
+//             amortized, stream not).  The "path" column says which ran.
 //
-// All three run on ONE planned matrix (multiply_batch_looped exists for
-// exactly this), so the columns differ only in execution strategy, never
-// in which copy of the matrix is cache-resident.  The fused/looped column
-// is the end-to-end amortization ratio the paper's bandwidth model
-// predicts grows toward k for streaming-bound matrices.
+// Both run on ONE planned matrix, so the columns differ only in execution
+// strategy, never in which copy of the matrix is cache-resident.  The
+// batch/looped column is the end-to-end amortization ratio the paper's
+// bandwidth model predicts grows toward k for streaming-bound matrices.
 //
 //   --matrix=<suite name>  (default FEM/Harbor)
 //   --threads=<n>          (default: all logical CPUs)
@@ -43,7 +42,6 @@ int main(int argc, char** argv) {
 
   TuningOptions opt = TuningOptions::full(threads);
   opt.tune_prefetch = false;
-  opt.batch_mode = BatchExecMode::kFused;
   const TunedMatrix tuned = TunedMatrix::plan(m, opt);
   engine::Executor exec(tuned);
 
@@ -60,8 +58,8 @@ int main(int argc, char** argv) {
     ys.push_back(ys_store[i].data());
   }
 
-  Table t({"batch", "looped GF/s", "batched GF/s", "fused GF/s",
-           "fused/batched", "fused/looped"});
+  const unsigned min_width = tuned.report().fused_batch_min_width;
+  Table t({"batch", "path", "looped GF/s", "batch GF/s", "batch/looped"});
   for (const std::size_t batch : {1u, 2u, 4u, 8u, 16u, 32u}) {
     const auto xs_b = std::span<const double* const>(xs).first(batch);
     const auto ys_b = std::span<double* const>(ys).first(batch);
@@ -74,10 +72,7 @@ int main(int argc, char** argv) {
           }
         },
         cfg.measure_seconds, 3);
-    const TimingResult t_batched = time_kernel(
-        [&] { tuned.multiply_batch_looped(xs_b, ys_b); },
-        cfg.measure_seconds, 3);
-    const TimingResult t_fused = time_kernel(
+    const TimingResult t_batch = time_kernel(
         [&] { exec.multiply_batch(xs_b, ys_b); },
         cfg.measure_seconds, 3);
 
@@ -86,10 +81,10 @@ int main(int argc, char** argv) {
     const auto gf = [&](const TimingResult& r) {
       return bench::gflops(static_cast<std::uint64_t>(nnz_swept), r.best_s);
     };
-    t.add_row({std::to_string(batch), Table::fmt(gf(t_looped), 3),
-               Table::fmt(gf(t_batched), 3), Table::fmt(gf(t_fused), 3),
-               Table::fmt(t_batched.best_s / t_fused.best_s, 3),
-               Table::fmt(t_looped.best_s / t_fused.best_s, 3)});
+    const bool fused = min_width != 0 && batch >= min_width;
+    t.add_row({std::to_string(batch), fused ? "fused" : "looped",
+               Table::fmt(gf(t_looped), 3), Table::fmt(gf(t_batch), 3),
+               Table::fmt(t_looped.best_s / t_batch.best_s, 3)});
   }
   cfg.emit(t, "Engine batch amortization (" + name + ", " +
                   std::to_string(threads) + " threads)");

@@ -1,16 +1,17 @@
 // Extreme-eigenvalue estimation of an SPD FEM operator with the Lanczos
 // iteration, using the symmetric half-storage SpMV for the operator and
-// the multiple-vector SpMM for the initial block orthogonalization — the
-// "bandwidth reduction" extensions working together on the paper's FEM
-// workload class.
+// a batched multiply (the tuned matrix's fused multiple-vector SpMM) for
+// the block warm start — the "bandwidth reduction" extensions working
+// together on the paper's FEM workload class.
 //
 //   $ ./examples/lanczos [--nodes=6000] [--iters=60] [--threads=N]
 #include <cmath>
 #include <iostream>
 #include <vector>
 
-#include "core/multivector.h"
 #include "core/symmetric.h"
+#include "core/tuned_matrix.h"
+#include "engine/executor.h"
 #include "gen/generators.h"
 #include "matrix/coo.h"
 #include "util/cli.h"
@@ -99,37 +100,40 @@ int main(int argc, char** argv) {
   std::cout << "symmetric storage ratio: " << op.storage_ratio()
             << " of full CSR\n";
 
-  // Block warm-start: multiply 4 random vectors at once through the SpMM
-  // path and keep the one with the largest Rayleigh quotient.
+  // Block warm-start: multiply 4 random vectors in one batch on the tuned
+  // matrix (fused SpMM past its plan-time crossover) and keep the one with
+  // the largest Rayleigh quotient.
   constexpr unsigned kBlock = 4;
-  const MultiVectorSpmv block_op(a, kBlock, threads);
+  const TunedMatrix block_op =
+      TunedMatrix::plan(a, TuningOptions::full(threads));
   Prng rng(99);
-  std::vector<double> block_x(static_cast<std::size_t>(n) * kBlock);
-  for (double& v : block_x) v = rng.next_double(-1.0, 1.0);
-  std::vector<double> block_y(block_x.size(), 0.0);
-  block_op.multiply(block_x, block_y);
+  std::vector<std::vector<double>> block_x(kBlock, std::vector<double>(n));
+  std::vector<std::vector<double>> block_y(kBlock,
+                                           std::vector<double>(n, 0.0));
+  std::vector<const double*> xs;
+  std::vector<double*> ys;
+  for (unsigned j = 0; j < kBlock; ++j) {
+    for (double& v : block_x[j]) v = rng.next_double(-1.0, 1.0);
+    xs.push_back(block_x[j].data());
+    ys.push_back(block_y[j].data());
+  }
+  engine::Executor(block_op).multiply_batch(xs, ys);
   unsigned best_j = 0;
   double best_q = -1e300;
   for (unsigned j = 0; j < kBlock; ++j) {
-    double num = 0.0, den = 0.0;
-    for (std::uint32_t r = 0; r < n; ++r) {
-      const double xj = block_x[static_cast<std::size_t>(r) * kBlock + j];
-      num += xj * block_y[static_cast<std::size_t>(r) * kBlock + j];
-      den += xj * xj;
-    }
-    if (num / den > best_q) {
-      best_q = num / den;
+    const double q_j =
+        dot(block_x[j], block_y[j]) / dot(block_x[j], block_x[j]);
+    if (q_j > best_q) {
+      best_q = q_j;
       best_j = j;
     }
   }
   std::cout << "block warm start: best Rayleigh quotient " << best_q
-            << " (vector " << best_j << " of " << kBlock << ")\n";
+            << " (vector " << best_j << " of " << kBlock << ", fused-batch>="
+            << block_op.report().fused_batch_min_width << ")\n";
 
   // Lanczos with the symmetric operator.
-  std::vector<double> q_prev(n, 0.0), q(n), aq(n);
-  for (std::uint32_t r = 0; r < n; ++r) {
-    q[r] = block_x[static_cast<std::size_t>(r) * kBlock + best_j];
-  }
+  std::vector<double> q_prev(n, 0.0), q = block_x[best_j], aq(n);
   const double q0 = norm(q);
   for (double& v : q) v /= q0;
 

@@ -42,19 +42,6 @@ enum class KernelBackend : std::uint8_t {
 
 const char* to_string(KernelBackend backend);
 
-/// How multiply_batch executes a coalesced batch (OSKI's "multiple
-/// vectors" optimization, paper §2.1): fused SpMM — one matrix sweep
-/// applying each nonzero to every right-hand side in the batch — or a
-/// loop of single multiplies.  Fused and looped are bit-identical; the
-/// difference is purely how often the matrix is streamed.
-enum class BatchExecMode : std::uint8_t {
-  kAuto,    ///< fuse when the pack-cost crossover model predicts a win
-  kFused,   ///< always fuse chunks of width >= 2
-  kLooped,  ///< never fuse (the pre-fusion looped behavior)
-};
-
-const char* to_string(BatchExecMode mode);
-
 struct TuningOptions {
   // --- data structure optimizations (§4.2) ---
   /// Allow register blocking with power-of-two tiles up to
@@ -91,10 +78,6 @@ struct TuningOptions {
   /// Measure a few candidate prefetch distances at plan time and keep the
   /// fastest (the paper's generator tunes the distance from 0 to one page).
   bool tune_prefetch = false;
-  /// Batched-execution strategy.  kAuto lets the planner decide per matrix
-  /// from the pack-cost crossover model; the decision lands in
-  /// TuningReport::fused_batch_min_width.
-  BatchExecMode batch_mode = BatchExecMode::kAuto;
 
   // --- parallelization optimizations (§4.3) ---
   unsigned threads = 1;

@@ -52,7 +52,7 @@ bool spin_with_backoff(const Pred& pred) {
 /// cycles from the very thread it waits for, so both sides park
 /// immediately instead (the participation win — one fewer handoff —
 /// remains).  A dispatch of width `active` occupies exactly `active`
-/// threads: the caller runs tid 0 and worker 0 idles.
+/// threads: the caller runs tid 0, workers run tids 1..active-1.
 inline bool spin_pays(unsigned active) {
   return active <= host_info().logical_cpus;
 }
@@ -76,18 +76,17 @@ ThreadPool::ThreadPool(unsigned threads, bool pin) {
   if (threads > kActiveMask) {
     throw std::invalid_argument("ThreadPool: too many threads");
   }
-  workers_.reserve(threads);
-  for (unsigned tid = 0; tid < threads; ++tid) {
+  // No thread for tid 0: the caller runs it in every dispatch.
+  workers_.reserve(threads - 1);
+  for (unsigned tid = 1; tid < threads; ++tid) {
     workers_.emplace_back([this, tid] { worker_loop(tid); });
-    if (pin) {
-      pin_thread(workers_.back(), tid % host_info().logical_cpus);
-    }
   }
+  if (pin) pin_workers();
 }
 
 void ThreadPool::pin_workers() {
-  for (unsigned tid = 0; tid < workers_.size(); ++tid) {
-    pin_thread(workers_[tid], tid % host_info().logical_cpus);
+  for (unsigned tid = 1; tid < size(); ++tid) {
+    pin_thread(workers_[tid - 1], tid % host_info().logical_cpus);
   }
 }
 
@@ -224,11 +223,10 @@ void ThreadPool::worker_loop(unsigned tid) {
     if (shutdown_.load(std::memory_order_relaxed)) return;
     seen = w;
     const unsigned active = static_cast<unsigned>(w & kActiveMask);
-    if (tid == 0 || tid >= active) {
-      // Not part of this dispatch's barrier (tid 0's share runs on the
-      // caller) — and not entitled to read task_ either (the caller may
-      // republish it the moment the executing workers finish), so idle
-      // cold until next selected.
+    if (tid >= active) {
+      // Not part of this dispatch's barrier — and not entitled to read
+      // task_ either (the caller may republish it the moment the
+      // executing workers finish), so idle cold until next selected.
       hot = false;
       continue;
     }

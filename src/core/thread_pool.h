@@ -8,6 +8,11 @@
 // encoding *on* the owning worker so first-touch places pages locally
 // (memory affinity).
 //
+// A pool of size n owns n - 1 threads, for tids 1..n-1: tid 0's share
+// always runs on the dispatching caller (below).  The pool never changes
+// the caller's affinity, so with pinning on, tid 0 runs wherever the
+// caller's thread is scheduled — the one tid not pinned to its CPU.
+//
 // One spin-then-park barrier: the dispatch itself is lock-free.  The
 // caller publishes the task with one release store of the generation
 // word, executes tid 0's share *itself* (fork-join with caller
@@ -34,7 +39,8 @@ namespace spmv {
 
 class ThreadPool {
  public:
-  /// Spawn `threads` workers.  When `pin` is set, worker i is pinned to
+  /// A pool of `threads` tids: spawns workers for tids 1..threads-1 (the
+  /// caller runs tid 0).  When `pin` is set, worker i is pinned to
   /// logical CPU i modulo the host CPU count.
   explicit ThreadPool(unsigned threads, bool pin = false);
 
@@ -43,8 +49,9 @@ class ThreadPool {
 
   ~ThreadPool();
 
+  /// Tids per dispatch: the spawned workers plus the caller's tid 0.
   [[nodiscard]] unsigned size() const {
-    return static_cast<unsigned>(workers_.size());
+    return static_cast<unsigned>(workers_.size()) + 1;
   }
 
   /// Run `task(tid)` for every tid in [0, size()) and wait for all of
@@ -64,9 +71,10 @@ class ThreadPool {
   /// that share a pool must serialize dispatches (ExecutionContext does).
   void run(unsigned active, const std::function<void(unsigned)>& task);
 
-  /// Pin every worker i to logical CPU i modulo the host CPU count, as the
-  /// pinning constructor would have.  Lets a shared pool spawned unpinned
-  /// be upgraded when a plan that wants process affinity first dispatches.
+  /// Pin every worker i (tids 1..size()-1) to logical CPU i modulo the
+  /// host CPU count, as the pinning constructor would have.  Lets a shared
+  /// pool spawned unpinned be upgraded when a plan that wants process
+  /// affinity first dispatches.  tid 0 runs on the caller, left unpinned.
   void pin_workers();
 
   /// True when called from inside one of *any* ThreadPool's workers.  Used
@@ -98,15 +106,16 @@ class ThreadPool {
     return e;
   }
 
+  /// workers_[i] runs tid i + 1.
   std::vector<std::thread> workers_;
 
   // One dispatch is described by the generation word (generation in the
   // high bits, the active count in the low 16) plus task_.  The caller
   // writes task_, then release-stores the word; a worker acquire-loads the
   // word and reads task_ only when it executes part of *that* dispatch —
-  // bystanders (tid >= active, and tid 0, whose share the caller runs)
-  // never touch it, so the next dispatch may overwrite it as soon as the
-  // executing workers have all decremented remaining_.
+  // bystanders (tid >= active) never touch it, so the next dispatch may
+  // overwrite it as soon as the executing workers have all decremented
+  // remaining_.
   static constexpr unsigned kActiveBits = 16;
   static constexpr unsigned kActiveMask = (1u << kActiveBits) - 1;
   std::atomic<std::uint64_t> dispatch_word_{0};

@@ -9,7 +9,6 @@
 #include "core/kernels_block.h"
 #include "core/kernels_simd.h"
 #include "engine/execution_context.h"
-#include "engine/executor.h"
 #include "util/cpu.h"
 #include "util/timer.h"
 
@@ -152,23 +151,13 @@ TunedMatrix TunedMatrix::plan(const CsrMatrix& a, const TuningOptions& opt) {
   // 8·k·(cols + 2·rows) bytes.  Record the smallest width where the saving
   // wins; for hypersparse matrices (nnz ≈ rows) no width qualifies and
   // fusion stays off.
-  switch (opt.batch_mode) {
-    case BatchExecMode::kLooped:
-      break;  // fused_batch_min_width stays 0
-    case BatchExecMode::kFused:
-      m.report_.fused_batch_min_width = 2;
-      break;
-    case BatchExecMode::kAuto: {
-      const std::uint64_t panel_bytes =
-          8ull * (static_cast<std::uint64_t>(a.cols()) +
-                  2ull * static_cast<std::uint64_t>(a.rows()));
-      for (unsigned k = 2; k <= kMaxFusedWidth; ++k) {
-        if (static_cast<std::uint64_t>(k - 1) * m.report_.tuned_bytes >
-            static_cast<std::uint64_t>(k) * panel_bytes) {
-          m.report_.fused_batch_min_width = k;
-          break;
-        }
-      }
+  const std::uint64_t panel_bytes =
+      8ull * (static_cast<std::uint64_t>(a.cols()) +
+              2ull * static_cast<std::uint64_t>(a.rows()));
+  for (unsigned k = 2; k <= kMaxFusedWidth; ++k) {
+    if (static_cast<std::uint64_t>(k - 1) * m.report_.tuned_bytes >
+        static_cast<std::uint64_t>(k) * panel_bytes) {
+      m.report_.fused_batch_min_width = k;
       break;
     }
   }
@@ -236,13 +225,6 @@ void TunedMatrix::execute(const double* x, double* y,
         }
       },
       opt_.pin_threads);
-}
-
-void TunedMatrix::multiply_batch_looped(
-    std::span<const double* const> xs,
-    std::span<double* const> ys) const {
-  engine::validate_batch_operands(*this, xs, ys);
-  execute_batch_looped(xs, ys, nullptr);
 }
 
 void TunedMatrix::execute_batch_looped(std::span<const double* const> xs,

@@ -64,7 +64,8 @@ struct TuningReport {
   /// at which execute_batch() packs operands into panels and runs the
   /// fused SpMM sweep (one matrix stream per chunk) instead of looping
   /// single multiplies.  0 = fusion off — packing would cost more than the
-  /// re-streams it saves (hypersparse matrices, or batch_mode = kLooped).
+  /// re-streams it saves at every width up to kMaxFusedWidth (hypersparse
+  /// matrices).
   unsigned fused_batch_min_width = 0;
   double plan_seconds = 0.0;
 
@@ -92,14 +93,6 @@ class TunedMatrix final : public engine::SpmvPlan {
   /// Safe for concurrent calls at any thread count: workers write disjoint
   /// row ranges and dispatches serialize on the shared ExecutionContext.
   void multiply(std::span<const double> x, std::span<double> y) const;
-
-  /// The batched-looped path regardless of the fused crossover: one
-  /// dispatch, each worker re-streaming its blocks once per right-hand
-  /// side (what execute_batch did before fusion existed).  Same operand
-  /// contract as Executor::multiply_batch.  Benches use it to measure
-  /// what fusion adds without planning a second copy of the matrix.
-  void multiply_batch_looped(std::span<const double* const> xs,
-                             std::span<double* const> ys) const;
 
   [[nodiscard]] std::uint32_t rows() const override { return report_.rows; }
   [[nodiscard]] std::uint32_t cols() const override { return report_.cols; }
@@ -133,6 +126,9 @@ class TunedMatrix final : public engine::SpmvPlan {
  private:
   TunedMatrix() = default;
 
+  /// execute_batch below the crossover (or with fusion off): one
+  /// dispatch, each worker re-streaming its blocks once per right-hand
+  /// side, so only the barrier is amortized.
   void execute_batch_looped(std::span<const double* const> xs,
                             std::span<double* const> ys,
                             engine::Scratch* scratch) const;

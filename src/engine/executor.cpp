@@ -33,7 +33,7 @@ Executor::~Executor() {
 void validate_multiply_operands(const SpmvPlan& plan,
                                 std::span<const double> x,
                                 std::span<double> y) {
-  if (x.size() < plan.x_elements() || y.size() < plan.y_elements()) {
+  if (x.size() < plan.cols() || y.size() < plan.rows()) {
     throw std::invalid_argument("Executor: operand too short");
   }
   if (x.data() == y.data()) {
@@ -49,7 +49,7 @@ void validate_batch_operands(const SpmvPlan& plan,
     throw std::invalid_argument("Executor: batch size mismatch");
   }
   // Bare pointers carry no length, so only null/aliasing are checkable
-  // here; the caller guarantees x_elements()/y_elements() valid elements
+  // here; the caller guarantees cols()/rows() valid elements
   // per pointer (see the header contract).  Aliasing is checked across the
   // whole batch, not just pairwise: the single-dispatch batch path runs
   // all right-hand sides with no barrier between them, so a chained batch

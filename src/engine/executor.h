@@ -41,7 +41,7 @@ class Executor {
 
   /// ys[i] ← ys[i] + A·xs[i] for all i.  xs and ys must be the same
   /// length; each pointer must be non-null and reference at least
-  /// x_elements()/y_elements() valid elements — lengths cannot be checked
+  /// cols()/rows() valid elements — lengths cannot be checked
   /// from bare pointers, unlike multiply()'s spans.  No xs pointer may
   /// equal any ys pointer, and no two ys pointers may be equal (both
   /// checked): the batch executes with no ordering between right-hand

@@ -22,10 +22,6 @@ double* Scratch::y_panel(std::size_t elements) {
 
 SpmvPlan::~SpmvPlan() = default;
 
-std::uint64_t SpmvPlan::x_elements() const { return cols(); }
-
-std::uint64_t SpmvPlan::y_elements() const { return rows(); }
-
 ExecutionContext& SpmvPlan::context() const {
   return ExecutionContext::global();
 }

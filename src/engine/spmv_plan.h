@@ -65,11 +65,6 @@ class SpmvPlan {
   [[nodiscard]] virtual std::uint32_t rows() const = 0;
   [[nodiscard]] virtual std::uint32_t cols() const = 0;
 
-  /// Elements execute() reads from x / accumulates into y.  Defaults to
-  /// cols()/rows(); the multi-vector plan multiplies both by k.
-  [[nodiscard]] virtual std::uint64_t x_elements() const;
-  [[nodiscard]] virtual std::uint64_t y_elements() const;
-
   /// Worker count the plan was partitioned for (1 = serial execution).
   [[nodiscard]] virtual unsigned plan_threads() const = 0;
 
@@ -82,8 +77,8 @@ class SpmvPlan {
   /// which still carries the fused-batch panel buffers.
   [[nodiscard]] virtual std::unique_ptr<Scratch> make_scratch() const;
 
-  /// y ← y + A·x.  `x`/`y` must have x_elements()/y_elements() valid
-  /// elements and not alias.  `scratch` must come from this plan's
+  /// y ← y + A·x.  `x`/`y` must have cols()/rows() valid elements and
+  /// not alias.  `scratch` must come from this plan's
   /// make_scratch() (plans that keep no per-call state tolerate nullptr —
   /// their own multiply() front doors pass it) and must not be shared
   /// between concurrent calls.  Must not be invoked from inside a pool

@@ -13,7 +13,7 @@
 //        ...                              ...                ├──────► N
 //   submit(x, y) ───────────────────► shard K  [MpmcQueue]  ─┘  dispatchers
 //                          │
-//                          └── EventCount::notify_one() — one atomic load
+//                          └── EventCount::notify_one() — one atomic RMW
 //                              when every dispatcher is already busy
 //
 //   * Submitters push onto their thread's home shard (lock-free Vyukov

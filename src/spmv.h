@@ -12,9 +12,11 @@
 //                     spmv::engine::Executor (per-caller handle with
 //                     multiply() and batched multiply_batch()).
 // Parallel variants:  spmv::SegmentedScanSpmv, spmv::ColumnPartitionedSpmv,
-//                     spmv::SymmetricSpmv, spmv::MultiVectorSpmv,
-//                     spmv::LocalStoreSpmv — all engine::SpmvPlan
-//                     implementations on the shared pool.
+//                     spmv::SymmetricSpmv, spmv::LocalStoreSpmv — all
+//                     engine::SpmvPlan implementations on the shared
+//                     pool.  Multiple right-hand sides (OSKI's SpMM) go
+//                     through Executor::multiply_batch, which fuses them
+//                     on TunedMatrix past its plan-time crossover.
 // Baselines:          spmv::baseline::OskiLikeMatrix,
 //                     spmv::baseline::PetscLikeSpmv (also engine plans).
 // Serving:            spmv::serve::MatrixRegistry (named, refcounted,
@@ -33,7 +35,6 @@
 #include "core/column_partition.h"
 #include "core/kernels_csr.h"
 #include "core/local_store.h"
-#include "core/multivector.h"
 #include "core/options.h"
 #include "core/partition.h"
 #include "core/segmented_scan.h"

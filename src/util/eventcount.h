@@ -11,7 +11,7 @@
 //              if (work available) cancel_wait();  // re-check!
 //              else commit_wait(ticket);         // sleep
 //   producer:  push work onto the queue;         // plain lock-free push
-//              notify_one();                     // one atomic load when
+//              notify_one();                     // one atomic RMW when
 //                                                // nobody is sleeping
 //
 // The announce/re-check on one side and publish/check-waiters on the
@@ -19,7 +19,7 @@
 // observes the other, so a consumer never sleeps on work pushed after its
 // re-check, and a producer never skips a wakeup for a consumer that saw
 // an empty queue.  When no consumer is parked — the steady state of a
-// busy data plane — notify_one() is a single uncontended atomic load.
+// busy data plane — notify_one() is a single atomic read-modify-write.
 //
 // State layout: low 32 bits count parked-or-parking waiters (so notifiers
 // can skip the slow path), high 32 bits are the wake epoch (so a notify
@@ -56,10 +56,11 @@ class EventCount {
   [[nodiscard]] std::uint64_t prepare_wait() {
     // seq_cst RMW: the Dekker handshake's waiter side — this increment
     // must be globally ordered before the caller's work-predicate
-    // re-check, pairing with the seq_cst fence in notify_one/notify_all
-    // (producer: work store, fence, waiter load).  If both sides used
-    // weaker orders, the producer could miss our announcement while we
-    // miss its work, stranding a sleeper with work queued.
+    // re-check, pairing with the seq_cst RMW of the same word in
+    // notify_one/notify_all (producer: work store, RMW reading the waiter
+    // count).  If both sides used weaker orders, the producer could miss
+    // our announcement while we miss its work, stranding a sleeper with
+    // work queued.
     const std::uint64_t s =
         state_.fetch_add(kWaiterInc, std::memory_order_seq_cst);
     return s >> kEpochShift;
@@ -125,8 +126,8 @@ class EventCount {
   }
 
   /// Wake at least one waiter that prepared before this call.  One atomic
-  /// load when nobody is waiting.  Call AFTER publishing the work the
-  /// waiter is waiting for.
+  /// read-modify-write when nobody is waiting.  Call AFTER publishing the
+  /// work the waiter is waiting for.
   void notify_one() SPMV_EXCLUDES(mutex_) { notify(false); }
 
   /// Wake every waiter that prepared before this call.
@@ -139,17 +140,17 @@ class EventCount {
   static constexpr std::uint64_t kEpochInc = std::uint64_t{1} << kEpochShift;
 
   void notify(bool all) SPMV_EXCLUDES(mutex_) {
-    // seq_cst fence: the Dekker handshake's producer side — orders the
-    // caller's work publication (e.g. the ring slot's release store)
-    // before the waiter-count load below, pairing with prepare_wait's
-    // seq_cst increment.  Without it, this load could act before the
-    // work store, read "no waiters" from before a consumer's
-    // announcement, and skip the wake while that consumer's re-check
-    // read the queue from before our push: a lost wakeup.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // relaxed: the fence above provides the ordering; the load itself
-    // only inspects the waiter count.
-    const std::uint64_t s = state_.load(std::memory_order_relaxed);
+    // seq_cst RMW adding 0, to read the waiter count: the Dekker
+    // handshake's producer side, pairing with prepare_wait's seq_cst
+    // increment of the same word.  The two RMWs are ordered in state_'s
+    // modification order.  If the increment comes first, this RMW sees the
+    // waiter.  If this RMW comes first, the increment reads from it, so
+    // this release synchronizes with that acquire: the caller's work
+    // publication (e.g. the ring slot's release store) happens-before the
+    // consumer's re-check, which sees the work.  Either way no wake is
+    // lost.  Unlike a standalone fence, ordering through one location is
+    // something ThreadSanitizer models.
+    const std::uint64_t s = state_.fetch_add(0, std::memory_order_seq_cst);
     if ((s & kWaiterMask) == 0) return;  // fast path: nobody sleeping
     {
       MutexLock lock(mutex_);

@@ -13,7 +13,6 @@
 #include "baseline/petsc_like.h"
 #include "core/column_partition.h"
 #include "core/local_store.h"
-#include "core/multivector.h"
 #include "core/segmented_scan.h"
 #include "core/symmetric.h"
 #include "core/tuned_matrix.h"
@@ -95,16 +94,6 @@ TEST(EngineConcurrency, SymmetricConcurrentMultiply) {
   const SymmetricSpmv sym = SymmetricSpmv::from_full(m, 4);
   expect_concurrent_bit_identical(
       [&](auto x, auto y) { sym.multiply(x, y); }, m.cols(), m.rows(), 24);
-}
-
-TEST(EngineConcurrency, MultiVectorConcurrentMultiply) {
-  const CsrMatrix m = gen::banded(600, 5, 0.5, 8);
-  const unsigned k = 4;
-  const MultiVectorSpmv mv(m, k, 4);
-  expect_concurrent_bit_identical(
-      [&](auto x, auto y) { mv.multiply(x, y); },
-      static_cast<std::size_t>(m.cols()) * k,
-      static_cast<std::size_t>(m.rows()) * k, 25);
 }
 
 TEST(EngineConcurrency, LocalStoreConcurrentMultiplyAndStats) {
@@ -278,7 +267,6 @@ TEST(EngineExecutor, ExecutorRunsEveryPlanFamily) {
   const TunedMatrix tuned = TunedMatrix::plan(m, opt);
   const SegmentedScanSpmv ss(m, 3);
   const ColumnPartitionedSpmv cp = ColumnPartitionedSpmv::plan(m, opt);
-  const MultiVectorSpmv mv(m, 1, 3);
   LocalStoreParams lsp;
   lsp.spes = 3;
   lsp.local_store_bytes = 32 * 1024;
@@ -286,7 +274,7 @@ TEST(EngineExecutor, ExecutorRunsEveryPlanFamily) {
   const baseline::PetscLikeSpmv dist = baseline::PetscLikeSpmv::distribute(
       m, 3, baseline::RegisterProfile::typical());
 
-  const engine::SpmvPlan* plans[] = {&tuned, &ss, &cp, &mv, &ls, &dist};
+  const engine::SpmvPlan* plans[] = {&tuned, &ss, &cp, &ls, &dist};
   for (const engine::SpmvPlan* plan : plans) {
     engine::Executor exec(*plan);
     std::vector<double> y(m.rows(), 0.0);

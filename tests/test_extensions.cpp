@@ -1,11 +1,10 @@
 // Tests for the bandwidth-reduction extensions: symmetric half-storage
-// SpMV, multiple-vector SpMM, DIA / hybrid-DIA formats, and RCM
-// reordering.
+// SpMV, DIA / hybrid-DIA formats, and RCM reordering.  (Multiple-vector
+// SpMM is the fused batch path, covered by test_fused_batch.cpp.)
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/multivector.h"
 #include "core/symmetric.h"
 #include "gen/generators.h"
 #include "matrix/coo.h"
@@ -97,56 +96,6 @@ TEST(SymmetricSpmv, FemMatrixWorks) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_NEAR(expected[i], actual[i], 1e-11);
   }
-}
-
-// --- multivector ---
-
-TEST(MultiVector, MatchesReferencePerVector) {
-  const CsrMatrix m = gen::uniform_random(200, 180, 7.0, 7);
-  for (unsigned k : {1u, 2u, 3u, 4u, 8u}) {
-    for (unsigned threads : {1u, 3u}) {
-      const MultiVectorSpmv mv(m, k, threads);
-      // Row-major X/Y with k vectors.
-      const auto x = random_vector(static_cast<std::size_t>(m.cols()) * k, 50);
-      auto y = random_vector(static_cast<std::size_t>(m.rows()) * k, 51);
-      auto y_expected = y;
-      mv.multiply(x, y);
-      // Reference: per-vector strided extraction.
-      for (unsigned j = 0; j < k; ++j) {
-        std::vector<double> xj(m.cols()), yj(m.rows());
-        for (std::uint32_t c = 0; c < m.cols(); ++c) xj[c] = x[c * k + j];
-        for (std::uint32_t r = 0; r < m.rows(); ++r) {
-          yj[r] = y_expected[static_cast<std::size_t>(r) * k + j];
-        }
-        spmv_reference(m, xj, yj);
-        for (std::uint32_t r = 0; r < m.rows(); ++r) {
-          ASSERT_NEAR(y[static_cast<std::size_t>(r) * k + j], yj[r], 1e-11)
-              << "k=" << k << " j=" << j << " r=" << r;
-        }
-      }
-    }
-  }
-}
-
-TEST(MultiVector, AmplificationGrowsWithK) {
-  const CsrMatrix m = gen::uniform_random(1000, 1000, 10.0, 8);
-  double prev = 0.0;
-  for (unsigned k : {1u, 2u, 4u, 8u}) {
-    const MultiVectorSpmv mv(m, k);
-    const double amp = mv.flop_byte_amplification();
-    EXPECT_GT(amp, prev);
-    prev = amp;
-  }
-  EXPECT_GT(prev, 3.0);  // k=8 should amortize the matrix stream well
-}
-
-TEST(MultiVector, Validation) {
-  const CsrMatrix m = gen::dense(8);
-  EXPECT_THROW(MultiVectorSpmv(m, 0), std::invalid_argument);
-  EXPECT_THROW(MultiVectorSpmv(m, 2, 0), std::invalid_argument);
-  const MultiVectorSpmv mv(m, 2);
-  std::vector<double> x(15), y(16);
-  EXPECT_THROW(mv.multiply(x, y), std::invalid_argument);
 }
 
 // --- DIA ---

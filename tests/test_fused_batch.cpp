@@ -3,7 +3,8 @@
 // width, format, tile shape, and backend (the chains per right-hand side
 // are the same, so equality is exact memcmp, not approximate); the engine
 // batch path must be bit-identical to looped multiply() under every batch
-// width and batch_mode; the crossover decision must land in the
+// width, including multi-chunk widths past kMaxFusedWidth with a ragged
+// tail; the plan-time crossover decision must land in the
 // TuningReport; the plan-keyed ScratchCache must reject cross-plan
 // sharing; and concurrent fused batches must stay race-free (this file's
 // Engine* suites join the spmv_concurrency TSan gate).
@@ -19,7 +20,6 @@
 #include "core/kernels_block.h"
 #include "core/kernels_csr.h"
 #include "core/kernels_simd.h"
-#include "core/multivector.h"
 #include "core/symmetric.h"
 #include "core/tuned_matrix.h"
 #include "engine/execution_context.h"
@@ -38,6 +38,10 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
 }
 
 constexpr unsigned kWidthSweep[] = {1, 2, 3, 4, 5, 8};
+/// Batch widths for the engine batch-vs-loop checks: kWidthSweep plus one
+/// past kMaxFusedWidth, so a batch splits into a full chunk and a ragged
+/// tail.
+constexpr unsigned kBatchWidthSweep[] = {1, 2, 3, 4, 5, 8, 13};
 constexpr unsigned kDims[] = {1, 2, 4};
 constexpr BlockFormat kFormats[] = {BlockFormat::kBcsr, BlockFormat::kBcoo};
 
@@ -111,7 +115,7 @@ TEST(FusedKernels, EveryShapeWidthBackendMatchesIndependentSweeps) {
 
 TEST(FusedKernels, RuntimeWidthKernelHandlesWideOperands) {
   // k > kMaxFusedWidth exercises the sub-panel re-walk in the
-  // runtime-width scalar kernel (the MultiVectorSpmv path for wide k).
+  // runtime-width scalar kernel.
   const CsrMatrix m = gen::uniform_random(60, 70, 7.0, 210);
   const BlockExtent ext{0, m.rows(), 0, m.cols()};
   const unsigned k = kMaxFusedWidth + 5;
@@ -171,11 +175,11 @@ TEST(FusedKernels, SimdCoversEveryShapeAtSpecializedWidths) {
 }
 
 /// multiply_batch on `plan` must be bitwise equal to looped multiply()
-/// for every batch width in the sweep.
+/// for every batch width in kBatchWidthSweep.
 template <typename Plan>
 void expect_batch_matches_loop(const Plan& plan, std::uint32_t rows,
                                std::uint32_t cols, std::uint64_t seed) {
-  for (const unsigned width : kWidthSweep) {
+  for (const unsigned width : kBatchWidthSweep) {
     std::vector<std::vector<double>> xs_store, loop_ys, batch_ys;
     for (unsigned i = 0; i < width; ++i) {
       xs_store.push_back(random_vector(cols, seed + i));
@@ -208,8 +212,9 @@ TEST(EngineFusedBatch, TunedMatrixFusedMatchesLoopedEveryWidth) {
       TuningOptions opt = TuningOptions::full(threads);
       opt.tune_prefetch = false;
       opt.backend = backend;
-      opt.batch_mode = BatchExecMode::kFused;  // fuse from width 2 up
       const TunedMatrix tuned = TunedMatrix::plan(m, opt);
+      // The crossover fuses this matrix from width 2 up, so every width
+      // in the sweep past 1 runs the fused path.
       ASSERT_EQ(tuned.report().fused_batch_min_width, 2u);
       expect_batch_matches_loop(tuned, m.rows(), m.cols(), 777);
     }
@@ -218,7 +223,7 @@ TEST(EngineFusedBatch, TunedMatrixFusedMatchesLoopedEveryWidth) {
 
 TEST(EngineFusedBatch, AutoModeMatchesLoopedOnMixedFormats) {
   // A matrix whose blocks mix formats/shapes (and thus fused kernels),
-  // under the kAuto crossover decision.
+  // under the plan-time crossover decision.
   const CsrMatrix m = gen::uniform_random(900, 850, 7.0, 221);
   TuningOptions opt = TuningOptions::full(3);
   opt.tune_prefetch = false;
@@ -238,58 +243,20 @@ TEST(EngineFusedBatch, CrossoverDecisionRecordedInReport) {
   TuningOptions opt = TuningOptions::full(2);
   opt.tune_prefetch = false;
 
-  // kAuto on a matrix with ~9 nnz/row: matrix bytes dominate the panels,
+  // A matrix with ~9 nnz/row: matrix bytes dominate the panels,
   // so some width must qualify.
   const TunedMatrix auto_plan = TunedMatrix::plan(dense_ish, opt);
   EXPECT_GE(auto_plan.report().fused_batch_min_width, 2u);
   EXPECT_LE(auto_plan.report().fused_batch_min_width, kMaxFusedWidth);
 
-  // Explicit modes override the model.
-  opt.batch_mode = BatchExecMode::kLooped;
-  EXPECT_EQ(TunedMatrix::plan(dense_ish, opt).report().fused_batch_min_width,
-            0u);
-  opt.batch_mode = BatchExecMode::kFused;
-  EXPECT_EQ(TunedMatrix::plan(dense_ish, opt).report().fused_batch_min_width,
-            2u);
-
-  // Hypersparse (1 nnz/row): packing can never pay for itself, kAuto
-  // keeps fusion off.
+  // Hypersparse (1 nnz/row): packing can never pay for itself, the
+  // crossover keeps fusion off.
   const CsrMatrix diag = gen::banded(4000, 0, 1.0, 231);
-  opt.batch_mode = BatchExecMode::kAuto;
   EXPECT_EQ(TunedMatrix::plan(diag, opt).report().fused_batch_min_width, 0u);
 
   // The summary mentions the decision.
   EXPECT_NE(auto_plan.report().summary().find("fused-batch>="),
             std::string::npos);
-}
-
-TEST(EngineFusedBatch, MultiVectorMatchesPerVectorReference) {
-  // MultiVectorSpmv now runs the same fused kernels as the batch path;
-  // its interleaved multiply must still match the per-vector reference.
-  const CsrMatrix m = gen::uniform_random(200, 180, 7.0, 240);
-  for (const unsigned k : kWidthSweep) {
-    for (const unsigned threads : {1u, 3u}) {
-      const MultiVectorSpmv mv(m, k, threads);
-      const auto x = random_vector(static_cast<std::size_t>(m.cols()) * k,
-                                   250 + k);
-      auto y = random_vector(static_cast<std::size_t>(m.rows()) * k,
-                             260 + k);
-      const auto y0 = y;
-      mv.multiply(x, y);
-      for (unsigned j = 0; j < k; ++j) {
-        std::vector<double> xj(m.cols()), yj(m.rows());
-        for (std::uint32_t c = 0; c < m.cols(); ++c) xj[c] = x[c * k + j];
-        for (std::uint32_t r = 0; r < m.rows(); ++r) {
-          yj[r] = y0[static_cast<std::size_t>(r) * k + j];
-        }
-        spmv_reference(m, xj, yj);
-        for (std::uint32_t r = 0; r < m.rows(); ++r) {
-          ASSERT_NEAR(y[static_cast<std::size_t>(r) * k + j], yj[r], 1e-11)
-              << "k=" << k << " j=" << j << " r=" << r;
-        }
-      }
-    }
-  }
 }
 
 TEST(EngineScratchCache, RejectsScratchFromAnotherPlan) {
@@ -336,8 +303,10 @@ TEST(EngineFusedBatchConcurrency, ConcurrentFusedBatchesBitIdentical) {
   const CsrMatrix m = gen::fem_like(220, 3, 9.0, 40, 280);
   TuningOptions opt = TuningOptions::full(4);
   opt.tune_prefetch = false;
-  opt.batch_mode = BatchExecMode::kFused;
   const TunedMatrix tuned = TunedMatrix::plan(m, opt);
+  // The crossover fuses from width 2, so the width-8 batches below run the
+  // fused path.
+  ASSERT_EQ(tuned.report().fused_batch_min_width, 2u);
 
   constexpr unsigned kBatch = 8;
   std::vector<std::vector<double>> xs_store, serial_ys;

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <numeric>
 #include <set>
 #include <string>
@@ -24,6 +26,36 @@ TEST(ThreadPool, RunsEveryTidExactlyOnce) {
 TEST(ThreadPool, SizeMatches) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);
+}
+
+/// Threads in this process right now (Linux: one /proc/self/task entry
+/// per thread); -1 where that directory does not exist.
+long process_thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  return static_cast<long>(
+      std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+TEST(ThreadPool, SpawnsNoThreadForTheCallersTid) {
+  // The caller runs tid 0 in every dispatch, so a pool of n starts n - 1
+  // threads; a worker for tid 0 would only ever sit parked.
+  const long before = process_thread_count();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this host";
+  {
+    ThreadPool pool(3);
+    EXPECT_EQ(pool.size(), 3u);
+    EXPECT_EQ(process_thread_count() - before, 2);
+    std::vector<std::atomic<int>> hits(3);
+    pool.run([&](unsigned tid) { hits[tid].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+  EXPECT_EQ(process_thread_count(), before);
+  {
+    ThreadPool single(1);  // tid 0 only: no thread at all
+    EXPECT_EQ(process_thread_count(), before);
+  }
 }
 
 TEST(ThreadPool, RejectsZeroThreads) {

@@ -21,7 +21,15 @@ cannot fully enforce by itself:
     that were carefully argued once erode silently when later edits copy
     the call without the argument; this keeps the argument attached.
 
- 3. In the lock-free data-structure headers (LOCKFREE_FILES) the bar is
+ 3. No standalone fences: std::atomic_thread_fence is banned.  GCC's
+    ThreadSanitizer does not model fences (it warns "-Wtsan:
+    'atomic_thread_fence' is not supported" and then ignores them), so
+    a handshake ordered by a fence is invisible to the TSan gates — a
+    race or lost wakeup through it cannot be caught.  Order through a
+    read-modify-write on the shared atomic instead (e.g. fetch_add(0,
+    seq_cst) pairing with the other side's seq_cst RMW of that word).
+
+ 4. In the lock-free data-structure headers (LOCKFREE_FILES) the bar is
     higher: EVERY atomic operation — relaxed and acquire/release included
     — must carry an adjacent ordering comment.  In a mutex-protected file
     a relaxed counter is usually self-evident; in a Vyukov ring or an
@@ -57,7 +65,7 @@ THREAD_FILES = WRAPPER_FILES | {
 }
 
 # Lock-free algorithm files: every atomic operation (any order) must argue
-# its memory_order in an adjacent comment — see module doc point 3.
+# its memory_order in an adjacent comment — see module doc point 4.
 LOCKFREE_FILES = {
     "src/util/mpmc_queue.h",
     "src/util/eventcount.h",
@@ -80,6 +88,7 @@ RAW_PRIMITIVES = re.compile(
     r"shared_lock|condition_variable|condition_variable_any)\b"
 )
 RAW_THREAD = re.compile(r"std::(thread|jthread)\b")
+THREAD_FENCE = re.compile(r"\batomic_thread_fence\b")
 
 ATOMIC_OP = re.compile(
     r"\.\s*(load|store|exchange|fetch_add|fetch_sub|fetch_and|fetch_or|"
@@ -166,6 +175,14 @@ def lint_file(path: Path, rel: str):
                  " add this file to the audited allowlist in"
                  " tools/lint_concurrency.py with a joined, bounded thread"
                  " lifecycle"))
+
+        if THREAD_FENCE.search(line):
+            violations.append(
+                (i + 1,
+                 "std::atomic_thread_fence: ThreadSanitizer does not model"
+                 " fences, so the TSan gates cannot check the ordering it"
+                 " provides — use a seq_cst read-modify-write on the shared"
+                 " atomic instead (see module doc point 3)"))
 
         for m in ATOMIC_OP.finditer(line):
             args = call_args(lines, i, m.end() - 1)
