@@ -32,7 +32,7 @@
 // Per point it reports achieved mean/max batch width and queue/dispatch
 // latency percentiles from the scheduler's ServeStats snapshot, plus a
 // "vs direct" column (delivered ops/s over the direct row at the same
-// client count — the scheduling overhead/amortization factor the sharded
+// client count — the scheduling overhead/amortization factor the
 // data plane is accountable for).  Extra flags: --max_clients=8 (sweep
 // 1,2,4,..), --max_batch=32, --linger_us=100, --window=8, --dispatchers=1,
 // --dispatchers_list=1,2,4 (CSV; overrides --dispatchers and repeats every
@@ -339,7 +339,7 @@ int main(int argc, char** argv) {
       serve::SchedulerConfig sc;
       sc.max_batch = mode.batch;
       sc.max_linger = std::chrono::microseconds(mode.linger);
-      sc.dispatch_threads = n_disp;  // shards default to one per dispatcher
+      sc.dispatch_threads = n_disp;
       serve::Scheduler sched(registry, sc);
       ModeResult r;
       r.mode = mode.label;

@@ -65,7 +65,6 @@ struct TuningOptions {
   std::size_t tlb_entries = 0;
 
   // --- code optimizations (§4.1) ---
-  KernelFlavor flavor = KernelFlavor::kSingleIndex;
   /// Register-tile kernel backend.  kAuto resolves at plan time to the
   /// widest backend the host supports (AVX2 today; the AVX-512 slot is a
   /// stub).  Tile shapes a SIMD backend has no specialization for fall
@@ -104,7 +103,6 @@ struct TuningOptions {
     o.index_compression = false;
     o.cache_blocking = false;
     o.tlb_blocking = false;
-    o.flavor = KernelFlavor::kNaive;
     o.prefetch_distance = 0;
     o.threads = 1;
     o.pin_threads = false;
@@ -116,7 +114,6 @@ struct TuningOptions {
   static TuningOptions full(unsigned threads_) {
     TuningOptions o;
     o.threads = threads_;
-    o.flavor = KernelFlavor::kPipelined;
     o.prefetch_distance = 64;
     o.tune_prefetch = true;
     return o;

@@ -174,9 +174,9 @@ class ScratchCache {
   /// high-water mark of simultaneously outstanding scratches, clamped to
   /// [kMinCached, kMaxCached].  A serial caller keeps the old tiny
   /// footprint (one scratch can be plan_threads × rows doubles for the
-  /// reduction-based variants), while a sharded scheduler running N
-  /// dispatchers against one entry settles at N cached scratches instead
-  /// of freeing and re-allocating N - kMinCached of them on every batch.
+  /// reduction-based variants), while a scheduler running N dispatchers
+  /// against one entry settles at N cached scratches instead of freeing
+  /// and re-allocating N - kMinCached of them on every batch.
   /// The mark only ever rises — a past burst pins at most kMaxCached.
   static constexpr std::size_t kMinCached = 2;
   static constexpr std::size_t kMaxCached = 16;

@@ -123,7 +123,7 @@ class OverloadDetector {
 struct HealthProbe {
   /// Per-dispatcher loop-iteration counters (monotonic while healthy).
   std::vector<std::uint64_t> heartbeats;
-  /// Whether any shard held work at probe time.  Heartbeat stagnation
+  /// Whether the request ring held work at probe time.  Heartbeat stagnation
   /// with no pending work is a parked dispatcher, not a stalled one.
   bool work_pending = false;
 };

@@ -1,8 +1,6 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
-#include <bit>
-#include <functional>
 #include <utility>
 
 #include "core/thread_pool.h"
@@ -60,20 +58,13 @@ bool CancelToken::cancel() {
 }
 
 Scheduler::Scheduler(MatrixRegistry& registry, SchedulerConfig config)
-    : registry_(registry), config_(config), detector_(config.overload) {
+    : registry_(registry),
+      config_(config),
+      detector_(config.overload),
+      ring_(config.queue_capacity) {
   config_.max_batch = std::max<std::size_t>(1, config_.max_batch);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   config_.dispatch_threads = std::max(1u, config_.dispatch_threads);
-  if (config_.shards == 0) config_.shards = config_.dispatch_threads;
-  // Split the capacity across shards; each ring rounds its share up to a
-  // power of two, so the effective total is >= queue_capacity (documented
-  // in SchedulerConfig).
-  const std::size_t per_shard =
-      (config_.queue_capacity + config_.shards - 1) / config_.shards;
-  shards_.reserve(config_.shards);
-  for (unsigned s = 0; s < config_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(per_shard));
-  }
   heartbeats_.reserve(config_.dispatch_threads);
   for (unsigned t = 0; t < config_.dispatch_threads; ++t) {
     heartbeats_.push_back(std::make_unique<Heartbeat>());
@@ -91,7 +82,7 @@ Scheduler::Scheduler(MatrixRegistry& registry, SchedulerConfig config)
         // A frozen heartbeat only signals a stall when there is work the
         // dispatcher should be making progress on; paused dispatchers
         // are idle by design (acquire pairs with resume()'s release).
-        probe.work_pending = any_shard_nonempty() &&
+        probe.work_pending = ring_.approx_size() != 0 &&
                              !paused_.load(std::memory_order_acquire);
         return probe;
       },
@@ -229,13 +220,8 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   // Admission control.  Feed the overload detector a pre-push depth
   // sample on every policy (health() stays meaningful for kBlock/kReject
   // monitoring); only kShed acts on it.
-  std::size_t depth = 0;
-  std::size_t capacity = 0;
-  for (const auto& shard : shards_) {
-    depth += shard->ring.approx_size();
-    capacity += shard->ring.capacity();
-  }
-  const HealthState state = detector_.sample(depth, capacity);
+  const HealthState state =
+      detector_.sample(ring_.approx_size(), ring_.capacity());
   // An already-expired request never executes, under any policy: fail at
   // the door instead of making a dispatcher sweep it later.
   if (req.deadline != kNoDeadline && req.enqueued >= req.deadline) {
@@ -282,9 +268,8 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   if (stopping_.load(std::memory_order_seq_cst)) {
     reject(ServeErrorCode::kShutdown, "serve: scheduler is shut down");
   } else {
-    const std::size_t home = home_shard();
     for (;;) {
-      if (!forced_full && try_push_any(home, req)) {
+      if (!forced_full && try_enqueue(req)) {
         enqueued = true;
         break;
       }
@@ -308,7 +293,7 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
         reject(ServeErrorCode::kShutdown, "serve: scheduler is shut down");
         break;
       }
-      if (try_push_any(home, req)) {
+      if (try_enqueue(req)) {
         space_ec_.cancel_wait();
         enqueued = true;
         break;
@@ -317,11 +302,6 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
     }
   }
   if (enqueued) {
-    std::size_t post_depth = 0;
-    for (const auto& shard : shards_) {
-      post_depth += shard->ring.approx_size();
-    }
-    plane_.queue_depth.record(post_depth);
     // Wake at most one sleeping dispatcher; when all are busy this is a
     // single atomic load.
     work_ec_.notify_one();
@@ -333,32 +313,8 @@ std::future<void> Scheduler::do_submit(MatrixRegistry::EntryPtr entry,
   return fut;
 }
 
-bool Scheduler::try_push_any(std::size_t home, Request& req) {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[(home + i) % shards_.size()];
-    if (shard.ring.try_push(std::move(req))) return true;
-    // try_push leaves req untouched on failure; overflow to a sibling.
-  }
-  return false;
-}
-
-std::size_t Scheduler::home_shard() const {
-  // Hash once per thread: a stable token spreads submitter threads across
-  // shards without any shared state on the submit path.
-  static const thread_local std::size_t token = [] {
-    std::size_t h = std::hash<std::thread::id>{}(std::this_thread::get_id());
-    h ^= h >> 33;  // std::hash may be close to identity; mix the bits
-    h *= 0x9E3779B97F4A7C15ull;
-    return h >> 16;
-  }();
-  return token % shards_.size();
-}
-
-bool Scheduler::any_shard_nonempty() const {
-  for (const auto& shard : shards_) {
-    if (shard->ring.approx_size() != 0) return true;
-  }
-  return false;
+bool Scheduler::try_enqueue(Request& req) {
+  return ring_.try_push(std::move(req));
 }
 
 void Scheduler::resume() {
@@ -449,45 +405,18 @@ bool Scheduler::resolve_if_dead(Request& req,
   return false;
 }
 
-std::size_t Scheduler::pull_shard(std::size_t shard, std::size_t home,
-                                  std::deque<Request>& pending,
-                                  std::size_t target) {
-  // Simulated failed steal: the sibling's ring reports dry.  Checked
-  // before any pop so no request is ever dropped — the work stays queued
-  // for the next sweep (or its owner).
-  if (shard != home && SPMV_FAULT_POINT("scheduler.steal_skip")) {
-    return 0;
-  }
-  std::size_t popped = 0;
+void Scheduler::pull(std::deque<Request>& pending) {
+  bool popped = false;
   Request req;
-  while (pending.size() < target && shards_[shard]->ring.try_pop(req)) {
-    if (shard != home) {
-      req.stolen = true;
-      plane_.steal_requests.fetch_add(1, std::memory_order_relaxed);
-    }
+  while (pending.size() < config_.max_batch && ring_.try_pop(req)) {
     pending.push_back(std::move(req));
-    ++popped;
+    popped = true;
   }
-  return popped;
-}
-
-std::size_t Scheduler::fill_pending(std::size_t home,
-                                    std::deque<Request>& pending) {
-  // Home shard first, then steal from siblings — but keep pulling until a
-  // full batch is local.  Stopping at "home has something" would fragment
-  // same-matrix traffic across shards and collapse coalescing width.
-  std::size_t popped = 0;
-  for (std::size_t i = 0;
-       i < shards_.size() && pending.size() < config_.max_batch; ++i) {
-    popped += pull_shard((home + i) % shards_.size(), home, pending,
-                         config_.max_batch);
-  }
-  if (popped != 0) space_ec_.notify_all();  // ring slots freed
-  return popped;
+  if (popped) space_ec_.notify_all();  // ring slots freed
 }
 
 std::vector<Scheduler::Request> Scheduler::build_batch(
-    std::size_t home, std::deque<Request>& pending) {
+    std::deque<Request>& pending) {
   std::vector<Request> batch;
   std::vector<Request> deferred;
   batch.reserve(config_.max_batch);
@@ -537,7 +466,7 @@ std::vector<Scheduler::Request> Scheduler::build_batch(
     if (pending.empty() && deferred.empty() &&
         batch.size() < config_.max_batch &&
         !stopping_.load(std::memory_order_acquire)) {
-      linger_fill(key, home, batch, pending);
+      linger_fill(key, batch, pending);
     }
     // Batch finalization: the last, *claiming* dead-sweep.  Members can
     // expire or be cancelled during the linger window; survivors have
@@ -582,7 +511,7 @@ std::vector<Scheduler::Request> Scheduler::build_batch(
 }
 
 void Scheduler::linger_fill(const MatrixRegistry::Entry* key,
-                            std::size_t home, std::vector<Request>& batch,
+                            std::vector<Request>& batch,
                             std::deque<Request>& pending) {
   if (config_.max_linger.count() == 0 || batch.empty()) return;
   // Deadline anchored to the oldest request's enqueue time, so a request
@@ -602,27 +531,18 @@ void Scheduler::linger_fill(const MatrixRegistry::Entry* key,
     bool grew = false;
     bool freed = false;
     Request req;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const std::size_t s = (home + i) % shards_.size();
-      while (batch.size() < config_.max_batch &&
-             shards_[s]->ring.try_pop(req)) {
-        freed = true;
-        if (s != home) {
-          req.stolen = true;
-          plane_.steal_requests.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (resolve_if_dead(req, std::chrono::steady_clock::now(),
-                            /*claim_token=*/false)) {
-          continue;  // resolved; its ring slot is freed either way
-        }
-        if (req.entry.get() == key && !conflicts_with(batch, req)) {
-          batch.push_back(std::move(req));
-          grew = true;
-        } else {
-          pending.push_back(std::move(req));
-        }
+    while (batch.size() < config_.max_batch && ring_.try_pop(req)) {
+      freed = true;
+      if (resolve_if_dead(req, std::chrono::steady_clock::now(),
+                          /*claim_token=*/false)) {
+        continue;  // resolved; its ring slot is freed either way
       }
-      if (batch.size() >= config_.max_batch) break;
+      if (req.entry.get() == key && !conflicts_with(batch, req)) {
+        batch.push_back(std::move(req));
+        grew = true;
+      } else {
+        pending.push_back(std::move(req));
+      }
     }
     if (freed) space_ec_.notify_all();  // ring slots freed
     // Stall detection: an arrival sweep that brought only foreign work
@@ -637,7 +557,8 @@ void Scheduler::linger_fill(const MatrixRegistry::Entry* key,
     // seq_cst: the waiter side of the eventcount handshake — ordered
     // after prepare_wait so a push or shutdown notify between our sweep
     // above and the sleep below is either seen here or wakes us.
-    if (stopping_.load(std::memory_order_seq_cst) || any_shard_nonempty()) {
+    if (stopping_.load(std::memory_order_seq_cst) ||
+        ring_.approx_size() != 0) {
       work_ec_.cancel_wait();
       continue;
     }
@@ -666,11 +587,9 @@ void Scheduler::execute_batch(std::vector<Request> batch) {
   std::vector<double*> ys;
   xs.reserve(batch.size());
   ys.reserve(batch.size());
-  bool has_stolen = false;
   for (const Request& r : batch) {
     xs.push_back(r.x);
     ys.push_back(r.y);
-    has_stolen = has_stolen || r.stolen;
     const auto waited = start - r.enqueued;
     r.stats->queue_latency.record_ns(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
@@ -679,10 +598,6 @@ void Scheduler::execute_batch(std::vector<Request> batch) {
     // (the deadline-aware shed predictor under kShed).
     detector_.record_latency(
         std::chrono::duration_cast<std::chrono::microseconds>(waited));
-  }
-  plane_.batch_width.record(batch.size());
-  if (has_stolen) {
-    plane_.steal_batches.fetch_add(1, std::memory_order_relaxed);
   }
   const MatrixRegistry::Entry& entry = *batch.front().entry;
   MatrixServeStats& stats = *batch.front().stats;
@@ -723,10 +638,10 @@ void Scheduler::execute_batch(std::vector<Request> batch) {
 void Scheduler::dispatcher_loop(unsigned tid) {
   // The self-submit fail-fast guard keys on this (see do_submit).
   tl_dispatcher_of = this;
-  const std::size_t home = tid % shards_.size();
-  // Requests this dispatcher has popped but not yet dispatched: stolen
-  // overflow beyond one batch, and conflict-deferred requests waiting out
-  // another dispatcher's in-flight batch.
+  // Requests this dispatcher has popped but not yet dispatched: other
+  // entries' requests left over from building a batch, and
+  // conflict-deferred requests waiting out another dispatcher's in-flight
+  // batch.
   std::deque<Request> pending;
   for (;;) {
     // relaxed: a liveness counter for the watchdog — "has it moved since
@@ -749,7 +664,7 @@ void Scheduler::dispatcher_loop(unsigned tid) {
         }
       }
       pending.clear();
-      return;  // shutdown() sweeps what's left in the rings
+      return;  // shutdown() sweeps what's left in the ring
     }
     if (!stopping && paused_.load(std::memory_order_acquire)) {
       // acquire: pairs with resume()'s release store.
@@ -766,7 +681,7 @@ void Scheduler::dispatcher_loop(unsigned tid) {
       }
       continue;
     }
-    fill_pending(home, pending);
+    pull(pending);
     if (pending.empty()) {
       if (stopping) return;  // drained
       const std::uint64_t ticket = work_ec_.prepare_wait();
@@ -775,7 +690,7 @@ void Scheduler::dispatcher_loop(unsigned tid) {
       // here; otherwise its notify sees us and wakes (Dekker pairing via
       // the eventcount's fence).
       if (stopping_.load(std::memory_order_seq_cst) ||
-          any_shard_nonempty()) {
+          ring_.approx_size() != 0) {
         work_ec_.cancel_wait();
         continue;
       }
@@ -784,17 +699,18 @@ void Scheduler::dispatcher_loop(unsigned tid) {
       continue;
     }
     // Snapshot the retirement count BEFORE build_batch's conflict check.
-    // If it were read after, a sibling could release its conflicting
-    // operands and bump the count inside that window: the snapshot would
-    // already contain the bump, the sleep re-check below would see "no
-    // change", and this dispatcher would park forever holding the only
-    // copies of the deferred requests (the sibling, with empty rings,
-    // parks too — deadlock).  Taken first, any retirement that lands
-    // after the conflict decision either changes the count by the
-    // re-check or its notify_all arrives after prepare_wait and wakes us.
+    // If it were read after, another dispatcher could release its
+    // conflicting operands and bump the count inside that window: the
+    // snapshot would already contain the bump, the sleep re-check below
+    // would see "no change", and this dispatcher would park forever
+    // holding the only copies of the deferred requests (the other one,
+    // with an empty ring, parks too — deadlock).  Taken first, any
+    // retirement that lands after the conflict decision either changes
+    // the count by the re-check or its notify_all arrives after
+    // prepare_wait and wakes us.
     // seq_cst: pairs with execute_batch's seq_cst bump — see there.
     const std::uint64_t seen = retire_count_.load(std::memory_order_seq_cst);
-    std::vector<Request> batch = build_batch(home, pending);
+    std::vector<Request> batch = build_batch(pending);
     if (batch.empty()) {
       // Everything local is parked behind another dispatcher's in-flight
       // batch.  Sleep until a retirement (or new work) changes the
@@ -805,7 +721,7 @@ void Scheduler::dispatcher_loop(unsigned tid) {
       // either shows up here or its notify wakes us.
       if (retire_count_.load(std::memory_order_seq_cst) != seen ||
           stopping_.load(std::memory_order_seq_cst) ||
-          any_shard_nonempty()) {
+          ring_.approx_size() != 0) {
         work_ec_.cancel_wait();
       } else {
         plane_.dispatcher_sleeps.fetch_add(1, std::memory_order_relaxed);
@@ -855,27 +771,25 @@ void Scheduler::shutdown(Drain mode) {
   // relaxed: dispatchers are joined; nothing concurrent remains.
   const bool discard =
       mode == Drain::kDiscard || discard_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    Request req;
-    while (shard->ring.try_pop(req)) {
-      // Expired/cancelled requests resolve with their specific verdict in
-      // BOTH modes: kDrain must not execute work past its deadline, and
-      // kDiscard owes the caller the more precise error it already
-      // earned.  Claiming: whatever happens next (inline execution or
-      // kShutdown) is final, so a racing cancel() must lose.
-      if (resolve_if_dead(req, std::chrono::steady_clock::now(),
-                          /*claim_token=*/true)) {
-        continue;
-      }
-      if (discard) {
-        fail_request(req, ServeErrorCode::kShutdown,
-                     "serve: scheduler shut down before the request was "
-                     "dispatched");
-      } else {
-        std::vector<Request> one;
-        one.push_back(std::move(req));
-        execute_batch(std::move(one));
-      }
+  Request req;
+  while (ring_.try_pop(req)) {
+    // Expired/cancelled requests resolve with their specific verdict in
+    // BOTH modes: kDrain must not execute work past its deadline, and
+    // kDiscard owes the caller the more precise error it already earned.
+    // Claiming: whatever happens next (inline execution or kShutdown) is
+    // final, so a racing cancel() must lose.
+    if (resolve_if_dead(req, std::chrono::steady_clock::now(),
+                        /*claim_token=*/true)) {
+      continue;
+    }
+    if (discard) {
+      fail_request(req, ServeErrorCode::kShutdown,
+                   "serve: scheduler shut down before the request was "
+                   "dispatched");
+    } else {
+      std::vector<Request> one;
+      one.push_back(std::move(req));
+      execute_batch(std::move(one));
     }
   }
   // The plane is quiesced; stop probing it.
@@ -884,12 +798,7 @@ void Scheduler::shutdown(Drain mode) {
 
 ServeStatsSnapshot Scheduler::stats() const {
   ServeStatsSnapshot out = stats_.snapshot();
-  out.data_plane.shards = config_.shards;
   out.data_plane.dispatchers = config_.dispatch_threads;
-  out.data_plane.steal_requests =
-      plane_.steal_requests.load(std::memory_order_relaxed);
-  out.data_plane.steal_batches =
-      plane_.steal_batches.load(std::memory_order_relaxed);
   out.data_plane.conflict_deferrals =
       plane_.conflict_deferrals.load(std::memory_order_relaxed);
   out.data_plane.dispatcher_sleeps =
@@ -908,8 +817,6 @@ ServeStatsSnapshot Scheduler::stats() const {
 #if defined(SPMV_FAULT_INJECTION)
   out.data_plane.faults_fired = FaultInjector::instance().total_fired();
 #endif
-  out.data_plane.batch_width = plane_.batch_width.snapshot();
-  out.data_plane.queue_depth = plane_.queue_depth.snapshot();
   return out;
 }
 

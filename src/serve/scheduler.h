@@ -1,33 +1,32 @@
-// Request-coalescing SpMV scheduler on a sharded lock-free data plane:
-// the serving front door.
+// Request-coalescing SpMV scheduler on a lock-free request ring: the
+// serving front door.
 //
 // Williams et al. win SpMV throughput by eliminating per-operation
 // overheads that serialize the machine; the first scheduler had exactly
 // such an overhead — one mutex-guarded deque drained by condvar-woken
 // dispatchers delivered ~0.4-0.5x of direct-call throughput at every
-// client count.  This version shards the data plane so the request path
-// serializes on nothing:
+// client count.  This version puts one lock-free ring between clients and
+// dispatchers, so the request path takes no lock:
 //
-//   submit(x, y) ──hash(thread id)──► shard 0  [MpmcQueue]  ─┐
-//   submit(x, y) ───────────────────► shard 1  [MpmcQueue]  ─┤ steal
-//        ...                              ...                ├──────► N
-//   submit(x, y) ───────────────────► shard K  [MpmcQueue]  ─┘  dispatchers
+//   submit(x, y) ─┐                      ┌─► dispatcher 0 ─┐
+//   submit(x, y) ─┼─► ring [MpmcQueue] ──┼─► dispatcher 1 ─┼─► multiply_batch
+//   submit(x, y) ─┘        │             └─►     ...       ┘
 //                          │
 //                          └── EventCount::notify_one() — one atomic RMW
 //                              when every dispatcher is already busy
 //
-//   * Submitters push onto their thread's home shard (lock-free Vyukov
-//     ring, util/mpmc_queue.h) and wake at most one sleeping dispatcher
-//     through an eventcount (util/eventcount.h) — the steady-state submit
-//     path takes no lock and wakes nobody who is already awake.
-//   * Each dispatcher drains its own shard first, then *steals* from
-//     sibling shards until it has a full batch — stealing preserves
-//     coalescing width instead of fragmenting it across shards.
-//   * Same-entry requests coalesce into one Executor::multiply_batch, as
-//     before; operand-conflict tracking (duplicate y / x-aliasing-y
-//     across concurrently executing batches) lives in a flat-hash
-//     tracker touched once per batch, not once per request, and never on
-//     the submit path.
+//   * Submitters push onto the shared ring (lock-free Vyukov ring,
+//     util/mpmc_queue.h) and wake at most one sleeping dispatcher through
+//     an eventcount (util/eventcount.h) — the steady-state submit path
+//     takes no lock and wakes nobody who is already awake.
+//   * Every dispatcher pops from the same ring until it holds a full
+//     batch, so same-matrix traffic from any number of client threads
+//     coalesces into one batch.
+//   * Same-entry requests coalesce into one Executor::multiply_batch;
+//     operand-conflict tracking (duplicate y / x-aliasing-y across
+//     concurrently executing batches) lives in a flat-hash tracker
+//     touched once per batch, not once per request, and never on the
+//     submit path.
 //
 // The knobs are the classic batching-vs-latency tradeoff:
 //
@@ -36,7 +35,7 @@
 //                    (latency floor under light load, width under heavy);
 //   * queue_capacity + overflow policy — bounded queue: block the
 //                    submitter (backpressure) or fail fast (kQueueFull);
-//   * dispatch_threads / shards — data-plane width.
+//   * dispatch_threads — how many dispatchers drain the ring.
 //
 // Lifecycle safety comes from the registry's refcounting: submit() pins
 // the entry, so a request races freely with put()/erase() on its name —
@@ -46,10 +45,10 @@
 // per-rhs equality, and coalescing never reorders a single request's
 // accumulation).
 //
-// Request lifecycle (PR 8): a request may carry a *deadline* and a
-// *priority* (SubmitOptions) and hand back a CancelToken alongside its
-// future.  Expired or cancelled requests are swept out of the rings and
-// out of forming batches before dispatch — they never reach
+// Request lifecycle: a request may carry a *deadline* and a *priority*
+// (SubmitOptions) and hand back a CancelToken alongside its future.
+// Expired or cancelled requests are swept out of the ring and out of
+// forming batches before dispatch — they never reach
 // Executor::multiply_batch — and resolve kDeadlineExceeded / kCancelled.
 // A third overflow policy, kShed, rejects load the queue cannot serve in
 // time: an OverloadDetector (serve/health.h) watches queue depth with
@@ -60,7 +59,7 @@
 // heartbeat counters to flag stalled dispatchers.  Every path is
 // observable (shed/expired/cancelled counters in DataPlaneStats) and
 // testable under the seeded fault points (util/fault_point.h):
-// scheduler.queue_full, scheduler.slow_dispatch, scheduler.steal_skip.
+// scheduler.queue_full, scheduler.slow_dispatch.
 #pragma once
 
 #include <atomic>
@@ -119,12 +118,10 @@ struct SchedulerConfig {
   /// clients are already queued or blocked on us), so it dispatches.
   std::chrono::microseconds max_linger{100};
   /// Bounded queue: submits beyond this either block (backpressure) or
-  /// fail fast, per `overflow`.  The capacity is split evenly across
-  /// shards and each shard's share rounds up to a power of two no smaller
-  /// than 2 (a structural minimum of the lock-free ring), so the
-  /// effective total can round up; a submitter whose home shard is full
-  /// overflows onto siblings before blocking or rejecting, so the full
-  /// capacity is reachable from any thread.
+  /// fail fast, per `overflow`.  The ring rounds it up to a power of two
+  /// no smaller than 2 (a structural minimum of the lock-free ring), so
+  /// the effective capacity can round up; it never depends on the
+  /// dispatcher count.
   std::size_t queue_capacity = 4096;
   /// kBlock: park the submitter until a slot frees (backpressure).
   /// kReject: fail fast with kQueueFull.
@@ -136,14 +133,10 @@ struct SchedulerConfig {
   /// the queue serving requests that can still make their deadlines).
   enum class OverflowPolicy : std::uint8_t { kBlock, kReject, kShed };
   OverflowPolicy overflow = OverflowPolicy::kBlock;
-  /// Dispatcher threads draining the shards.  More than one lets batches
+  /// Dispatcher threads draining the ring.  More than one lets batches
   /// for different matrices execute concurrently (they still serialize on
   /// the engine's dispatch lock for the actual pool work).
   unsigned dispatch_threads = 1;
-  /// Request-queue shards.  0 (default) means one per dispatcher.
-  /// Submitters hash to a home shard by thread id; dispatcher i owns
-  /// shard i mod shards and steals from the rest.
-  unsigned shards = 0;
   /// Start with dispatching suspended until resume() — lets tests (and
   /// warm-up code) enqueue a known set of requests and observe exactly how
   /// they coalesce.
@@ -299,14 +292,6 @@ class Scheduler {
     std::shared_ptr<std::atomic<std::uint8_t>> cancel;
     /// SubmitOptions::on_complete, fired once after the promise resolves.
     std::function<void()> on_complete;
-    bool stolen = false;  ///< popped from a shard its dispatcher doesn't own
-  };
-
-  /// One request-queue shard.  Padded so neighboring shards' ring cursors
-  /// never share a cache line.
-  struct alignas(kCacheLineSize) Shard {
-    explicit Shard(std::size_t capacity) : ring(capacity) {}
-    MpmcQueue<Request> ring;
   };
 
   /// Operands of batches currently executing on some dispatcher.  A
@@ -350,18 +335,12 @@ class Scheduler {
   bool resolve_if_dead(Request& req, std::chrono::steady_clock::time_point now,
                        bool claim_token);
   void dispatcher_loop(unsigned tid);
-  /// Push `req` onto the home shard, overflowing onto siblings when the
-  /// home ring is full; `req` is untouched when every ring is full.
-  bool try_push_any(std::size_t home, Request& req);
-  /// Pop from `shard`'s ring into `pending` until the ring is dry or
-  /// `pending` reaches `target`; counts steals when the shard is not the
-  /// dispatcher's home.  Returns how many requests were popped.
-  std::size_t pull_shard(std::size_t shard, std::size_t home,
-                         std::deque<Request>& pending, std::size_t target);
-  /// Top `pending` up to at least max_batch requests: home shard first,
-  /// then steal from siblings — stealing keeps batches wide instead of
-  /// fragmenting same-matrix traffic across shards.
-  std::size_t fill_pending(std::size_t home, std::deque<Request>& pending);
+  /// Move `req` onto the ring; `req` is untouched when the ring is full,
+  /// so a submit that then blocks or rejects still owns it.
+  bool try_enqueue(Request& req);
+  /// Top `pending` up to max_batch requests from the ring (fewer when
+  /// the ring runs dry), waking blocked submitters if any slot freed.
+  void pull(std::deque<Request>& pending);
   /// Build a dispatchable batch from `pending`: pick the head request's
   /// entry, gather up to max_batch same-entry requests without intra-batch
   /// operand conflicts, linger for stragglers when the batch is the only
@@ -369,12 +348,11 @@ class Scheduler {
   /// tracker (conflicting requests go back to `pending`, deferred until a
   /// retirement).  Tries later entries when the head's are all deferred.
   /// Empty result means everything in `pending` is conflict-deferred.
-  std::vector<Request> build_batch(std::size_t home,
-                                   std::deque<Request>& pending);
+  std::vector<Request> build_batch(std::deque<Request>& pending);
   /// Linger: give `batch` time to fill before paying a dispatch for it.
   /// Only called while `pending` is empty (lingering while other entries
   /// wait would delay them without widening this batch any faster).
-  void linger_fill(const MatrixRegistry::Entry* key, std::size_t home,
+  void linger_fill(const MatrixRegistry::Entry* key,
                    std::vector<Request>& batch, std::deque<Request>& pending);
   void execute_batch(std::vector<Request> batch);
   static void fail_request(Request& req, ServeErrorCode code,
@@ -384,9 +362,6 @@ class Scheduler {
   /// a batch member's y must split into a later dispatch.
   static bool conflicts_with(const std::vector<Request>& batch,
                              const Request& r);
-  /// Home shard of the calling thread (stable per thread).
-  [[nodiscard]] std::size_t home_shard() const;
-  [[nodiscard]] bool any_shard_nonempty() const;
 
   /// Per-dispatcher liveness counter, bumped once per loop iteration and
   /// read by the watchdog probe.  Padded: heartbeats are written hot by
@@ -401,7 +376,9 @@ class Scheduler {
   DataPlaneStats plane_;
   OverloadDetector detector_;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// The request queue every submitter pushes to and every dispatcher
+  /// pops from.
+  MpmcQueue<Request> ring_;
   std::vector<std::unique_ptr<Heartbeat>> heartbeats_;
   EventCount work_ec_;   ///< dispatchers sleep here; submit/retire notify
   EventCount space_ec_;  ///< kBlock submitters sleep here; pops notify
@@ -414,7 +391,7 @@ class Scheduler {
   std::atomic<bool> discard_{false};
   /// Dekker counterpart to stopping_: submits announce themselves before
   /// checking stopping_, so shutdown() can wait out racing pushes and
-  /// then sweep the rings exactly once (see submit/shutdown).
+  /// then sweep the ring exactly once (see submit/shutdown).
   std::atomic<unsigned> submits_in_flight_{0};
   /// Bumped when a batch retires its in-flight operands: dispatchers
   /// whose whole pending set is conflict-deferred sleep until this
@@ -427,7 +404,7 @@ class Scheduler {
   bool joined_ SPMV_GUARDED_BY(join_mutex_) = false;
 
   /// Declared last: destroyed first, so the probe thread (which reads
-  /// heartbeats_ and the shards) is joined before anything it touches.
+  /// heartbeats_ and the ring) is joined before anything it touches.
   std::unique_ptr<HealthWatchdog> watchdog_;
 };
 

@@ -44,43 +44,6 @@ double LatencyHistogram::Snapshot::quantile_us(double q) const {
   return static_cast<double>(std::uint64_t{2} << (kBuckets - 1));
 }
 
-void CountHistogram::record(std::uint64_t n) {
-  const std::size_t bucket =
-      n <= 1 ? 0 : std::min<std::size_t>(std::bit_width(n) - 1, kBuckets - 1);
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  total_.fetch_add(n, std::memory_order_relaxed);
-}
-
-CountHistogram::Snapshot CountHistogram::snapshot() const {
-  Snapshot s;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    s.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
-  }
-  s.count = count_.load(std::memory_order_relaxed);
-  s.total = total_.load(std::memory_order_relaxed);
-  return s;
-}
-
-double CountHistogram::Snapshot::mean() const {
-  return count == 0
-             ? 0.0
-             : static_cast<double>(total) / static_cast<double>(count);
-}
-
-std::uint64_t CountHistogram::Snapshot::quantile(double q) const {
-  if (count == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::uint64_t>(
-      q * static_cast<double>(count - 1));  // 0-based sample index
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    seen += buckets[b];
-    if (seen > rank) return b == 0 ? 1 : (std::uint64_t{2} << b) - 1;
-  }
-  return (std::uint64_t{2} << (kBuckets - 1)) - 1;
-}
-
 void MatrixServeStats::record_batch(std::uint64_t width) {
   batches_dispatched.fetch_add(1, std::memory_order_relaxed);
   rhs_dispatched.fetch_add(width, std::memory_order_relaxed);

@@ -54,43 +54,10 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> total_ns_{0};
 };
 
-/// Lock-free power-of-two count histogram for small integer samples
-/// (batch widths, queue depths).  Bucket 0 counts samples of 0 and 1;
-/// bucket b >= 1 counts samples in [2^b, 2^(b+1)); the top bucket is
-/// open-ended.  16 doubling buckets cover depths past 64K — far beyond
-/// any configured queue_capacity or max_batch.
-class CountHistogram {
- public:
-  static constexpr std::size_t kBuckets = 17;
-
-  void record(std::uint64_t n);
-
-  struct Snapshot {
-    std::array<std::uint64_t, kBuckets> buckets{};
-    std::uint64_t count = 0;
-    std::uint64_t total = 0;
-
-    [[nodiscard]] double mean() const;
-    /// Upper edge of the bucket holding the q-quantile sample, q in
-    /// [0,1]; 0 when empty.  Bucket resolution: factor-of-2.
-    [[nodiscard]] std::uint64_t quantile(double q) const;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> total_{0};
-};
-
-/// Scheduler-wide data-plane telemetry (not per-matrix): how the sharded
-/// queue/steal machinery is behaving.  All relaxed atomics — recording
-/// never serializes dispatchers.
+/// Scheduler-wide data-plane telemetry (not per-matrix): how the request
+/// ring and its dispatchers are behaving.  All relaxed atomics —
+/// recording never serializes dispatchers.
 struct DataPlaneStats {
-  /// Requests a dispatcher popped from a shard it does not own.
-  std::atomic<std::uint64_t> steal_requests{0};
-  /// Dispatched batches containing at least one stolen request.
-  std::atomic<std::uint64_t> steal_batches{0};
   /// Requests deferred because their operands collided with a batch
   /// executing on another dispatcher.
   std::atomic<std::uint64_t> conflict_deferrals{0};
@@ -100,20 +67,15 @@ struct DataPlaneStats {
   /// deadline the latency EWMA already overran).
   std::atomic<std::uint64_t> requests_shed{0};
   /// Requests resolved kDeadlineExceeded without executing (at the door
-  /// or swept out of a shard/batch pre-dispatch).
+  /// or swept out of the ring or a batch pre-dispatch).
   std::atomic<std::uint64_t> requests_expired{0};
   /// Requests resolved kCancelled via their CancelToken pre-dispatch.
   std::atomic<std::uint64_t> requests_cancelled{0};
-  CountHistogram batch_width;  ///< width of every dispatched batch
-  CountHistogram queue_depth;  ///< total queued depth sampled at submit
 };
 
 /// Plain-data export of DataPlaneStats plus the plane's static shape.
 struct DataPlaneSnapshot {
-  unsigned shards = 0;
   unsigned dispatchers = 0;
-  std::uint64_t steal_requests = 0;
-  std::uint64_t steal_batches = 0;
   std::uint64_t conflict_deferrals = 0;
   std::uint64_t dispatcher_sleeps = 0;
   std::uint64_t requests_shed = 0;
@@ -128,8 +90,6 @@ struct DataPlaneSnapshot {
   std::uint64_t stall_events = 0;
   /// Total fault-point fires (0 unless built -DSPMV_FAULT_INJECTION=ON).
   std::uint64_t faults_fired = 0;
-  CountHistogram::Snapshot batch_width;
-  CountHistogram::Snapshot queue_depth;
 };
 
 /// One matrix id's serving counters.  Thread-safe; shared between the
@@ -167,7 +127,7 @@ struct MatrixStatsSnapshot {
 
 struct ServeStatsSnapshot {
   std::vector<MatrixStatsSnapshot> matrices;  ///< sorted by name
-  /// Sharded-data-plane telemetry (filled by Scheduler::stats()).
+  /// Data-plane telemetry (filled by Scheduler::stats()).
   DataPlaneSnapshot data_plane;
   /// submit() calls naming a matrix that was never registered.  One
   /// aggregate counter rather than per-name cells: the names are

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace spmv {
 
@@ -66,20 +67,6 @@ double geomean(std::span<const double> xs) {
     acc += std::log(x);
   }
   return std::exp(acc / static_cast<double>(xs.size()));
-}
-
-std::vector<std::size_t> histogram(std::span<const double> xs, double lo,
-                                   double hi, std::size_t bins) {
-  if (bins == 0 || hi <= lo) throw std::invalid_argument("histogram range");
-  std::vector<std::size_t> counts(bins, 0);
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (double x : xs) {
-    if (x < lo || x > hi) continue;
-    auto b = static_cast<std::size_t>((x - lo) / width);
-    if (b >= bins) b = bins - 1;  // x == hi lands in the last bucket
-    ++counts[b];
-  }
-  return counts;
 }
 
 }  // namespace spmv

@@ -2,9 +2,7 @@
 // benchmark harness (the paper reports medians across the matrix suite).
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace spmv {
 
@@ -26,9 +24,5 @@ double percentile(std::span<const double> xs, double p);
 
 /// Geometric mean; all samples must be positive.
 double geomean(std::span<const double> xs);
-
-/// Histogram with `bins` equal-width buckets over [lo, hi].
-std::vector<std::size_t> histogram(std::span<const double> xs, double lo,
-                                   double hi, std::size_t bins);
 
 }  // namespace spmv

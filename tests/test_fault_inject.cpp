@@ -221,37 +221,6 @@ TEST(FaultServe, InjectedQueueFullUnderBlockRetriesWithoutDeadlock) {
   EXPECT_EQ(FaultInjector::instance().fired("scheduler.queue_full"), 4u);
 }
 
-TEST(FaultServe, InjectedStealFailuresNeverLoseWork) {
-  engine::ExecutionContext ctx({.pin_threads = false});
-  MatrixRegistry reg;
-  const CsrMatrix m = gen::banded(100, 3, 0.7, 77);
-  reg.put("A", m, serve_options(&ctx, 1));
-  const auto x = random_vector(100, 78);
-  const std::vector<double> expect = direct_result(*reg.find("A"), x, 0.0);
-
-  SchedulerConfig cfg;
-  cfg.dispatch_threads = 2;
-  cfg.shards = 2;
-  cfg.queue_capacity = 8;  // per-shard rings of 4: submits spill across both
-  cfg.max_linger = 0us;    // no linger pops: every cross-shard pop is a steal
-  Scheduler sched(reg, cfg);
-  FaultArm arm(13);
-  FaultInjector::instance().set_rate("scheduler.steal_skip", 1.0);
-
-  constexpr int kRequests = 12;
-  std::vector<std::vector<double>> ys(kRequests,
-                                      std::vector<double>(100, 0.0));
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < kRequests; ++i) {
-    futs.push_back(sched.submit("A", x, ys[i]));
-  }
-  for (auto& f : futs) EXPECT_NO_THROW(f.get());
-  for (const auto& y : ys) EXPECT_EQ(y, expect);
-  // With every steal attempt failing, requests were only ever popped by
-  // their shard's owner — work is delayed, never dropped.
-  EXPECT_EQ(sched.stats().data_plane.steal_requests, 0u);
-}
-
 TEST(FaultServe, SlowDispatchIsFlaggedStalledByTheWatchdog) {
   engine::ExecutionContext ctx({.pin_threads = false});
   MatrixRegistry reg;
@@ -420,11 +389,11 @@ TEST(FaultRegistry, InjectedTuneFailureLeavesNoPlaceholder) {
 // Full lifecycle under a mixed fault storm.
 // ---------------------------------------------------------------------------
 
-// Deadlines, cancellation, shedding, forced queue-full, failed steals,
-// spurious wakes, and injected dispatch latency all at once: the
-// invariant is that every future resolves exactly once, with either the
-// correct result or a defined ServeError — and a request that resolved
-// with a pre-dispatch error never touched its y.
+// Deadlines, cancellation, shedding, forced queue-full, spurious wakes,
+// and injected dispatch latency all at once: the invariant is that every
+// future resolves exactly once, with either the correct result or a
+// defined ServeError — and a request that resolved with a pre-dispatch
+// error never touched its y.
 TEST(FaultServe, LifecycleUnderFaultStormResolvesEveryFutureOnce) {
   engine::ExecutionContext ctx({.pin_threads = false});
   MatrixRegistry reg;
@@ -437,7 +406,6 @@ TEST(FaultServe, LifecycleUnderFaultStormResolvesEveryFutureOnce) {
   FaultArm arm(37);
   auto& fi = FaultInjector::instance();
   fi.set_rate("scheduler.queue_full", 0.25);
-  fi.set_rate("scheduler.steal_skip", 0.5);
   fi.set_rate("eventcount.spurious_wake", 0.25);
   fi.set_rate("scheduler.slow_dispatch", 0.5);
   fi.set_delay("scheduler.slow_dispatch", 200us);
@@ -446,7 +414,6 @@ TEST(FaultServe, LifecycleUnderFaultStormResolvesEveryFutureOnce) {
   cfg.overflow = SchedulerConfig::OverflowPolicy::kShed;
   cfg.queue_capacity = 8;
   cfg.dispatch_threads = 2;
-  cfg.shards = 2;
   cfg.max_batch = 4;
   cfg.max_linger = std::chrono::microseconds(50);
   cfg.overload = {.overload_frac = 0.25,

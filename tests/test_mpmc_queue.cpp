@@ -64,8 +64,8 @@ TEST(MpmcQueue, FullRejectsAndLeavesValueUntouched) {
   EXPECT_TRUE(q.try_push("b"));
   std::string keep = "survives-a-failed-push";
   EXPECT_FALSE(q.try_push(std::move(keep)));
-  // The failed push must not have consumed the value: callers re-route
-  // the element to a sibling shard.
+  // The failed push must not have consumed the value: callers retry the
+  // same element after a backpressure wait, or reject it.
   EXPECT_EQ(keep, "survives-a-failed-push");
   std::string out;
   ASSERT_TRUE(q.try_pop(out));

@@ -162,7 +162,7 @@ TEST(ServeHealth, SchedulerWatchdogSeesParkedDispatchersAsHealthy) {
   Scheduler sched(reg, {.max_linger = std::chrono::microseconds(0)});
   std::vector<double> y(80, 0.0);
   EXPECT_NO_THROW(sched.submit("A", x, y).get());
-  // Empty rings mean work_pending == false: dispatchers parked on the
+  // An empty ring means work_pending == false: dispatchers parked on the
   // eventcount are healthy no matter how long their heartbeat is frozen.
   sched.watchdog().tick();
   sched.watchdog().tick();
@@ -303,6 +303,57 @@ TEST(ServeRobust, DefaultTokenIsEmpty) {
   EXPECT_FALSE(token.cancel());
 }
 
+// queue_capacity bounds the whole queue, not each dispatcher's share of
+// it: however many dispatchers drain the ring, a paused scheduler admits
+// exactly queue_capacity requests and rejects the next one.
+TEST(ServeRobust, QueueCapacityIndependentOfDispatchers) {
+  engine::ExecutionContext ctx({.pin_threads = false});
+  MatrixRegistry reg;
+  const CsrMatrix m = gen::banded(100, 3, 0.7, 39);
+  reg.put("A", m, serve_options(&ctx, 1));
+  const MatrixRegistry::EntryPtr entry = reg.find("A");
+  const auto x = random_vector(100, 40);
+  const std::vector<double> expect = direct_result(*entry, x, 0.0);
+
+  constexpr std::size_t kCapacity = 8;
+  for (const unsigned dispatchers : {1u, 2u, 3u}) {
+    SCOPED_TRACE(dispatchers);
+    SchedulerConfig cfg;
+    cfg.queue_capacity = kCapacity;
+    cfg.overflow = SchedulerConfig::OverflowPolicy::kReject;
+    cfg.dispatch_threads = dispatchers;
+    cfg.start_paused = true;
+    // Declared before the scheduler: its draining destructor writes into
+    // them, also when an assertion below ends the test early.
+    std::vector<std::vector<double>> ys(kCapacity + 1,
+                                        std::vector<double>(100, 0.0));
+    Scheduler sched(reg, cfg);
+
+    std::vector<std::future<void>> admitted;
+    for (std::size_t i = 0; i < kCapacity; ++i) {
+      admitted.push_back(sched.submit(entry, x, ys[i]));
+    }
+    std::future<void> overflow = sched.submit(entry, x, ys[kCapacity]);
+    // A rejected submit resolves before submit() returns; an admitted one
+    // would wait for resume() — check first so a wrong admit fails here
+    // instead of blocking on the paused scheduler.
+    ASSERT_EQ(overflow.wait_for(0s), std::future_status::ready);
+    expect_serve_error(std::move(overflow), ServeErrorCode::kQueueFull);
+    EXPECT_TRUE(all_equal(ys[kCapacity], 0.0));
+
+    sched.resume();
+    for (auto& f : admitted) EXPECT_NO_THROW(f.get());
+    for (std::size_t i = 0; i < kCapacity; ++i) {
+      EXPECT_EQ(ys[i], expect) << "request " << i;
+    }
+    const auto stats = sched.stats();
+    const auto* cell = stats.find("A");
+    ASSERT_NE(cell, nullptr);
+    EXPECT_EQ(cell->requests_completed, kCapacity);
+    EXPECT_EQ(cell->requests_rejected, 1u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // kShed admission control, closed loop.
 // ---------------------------------------------------------------------------
@@ -323,7 +374,7 @@ TEST(ServeRobust, ShedPolicyClosedLoopOverloadAndRecovery) {
   SchedulerConfig cfg;
   cfg.max_batch = 8;
   cfg.max_linger = 0us;
-  cfg.queue_capacity = 8;  // one shard -> one ring of exactly 8 slots
+  cfg.queue_capacity = 8;  // a power of two: a ring of exactly 8 slots
   cfg.overflow = SchedulerConfig::OverflowPolicy::kShed;
   cfg.dispatch_threads = 1;
   cfg.start_paused = true;

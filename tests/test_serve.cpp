@@ -498,13 +498,12 @@ TEST(ServeScheduler, DestructorDrainsPendingRequests) {
   for (const auto& y : ys) EXPECT_EQ(y, expect);
 }
 
-TEST(ServeSharded, StealCoalescesAcrossShards) {
-  // Work stealing must preserve coalescing width, not fragment it: with
-  // the scheduler paused, requests submitted from many threads hash into
-  // different shards, and the single dispatcher's fill sweep (own shard
-  // first, then steal from every sibling) must still assemble ONE batch.
-  // start_paused makes this deterministic — everything is queued before
-  // the dispatcher takes its first pull.
+TEST(ServeRing, ManySubmittersCoalesceIntoOneBatch) {
+  // Requests from many client threads share one ring, so submitter count
+  // must not fragment coalescing width: with the scheduler paused, 16
+  // threads' requests all queue on the ring and the dispatcher's first
+  // pull must assemble ONE batch of all of them.  start_paused makes this
+  // deterministic — everything is queued before that pull.
   engine::ExecutionContext ctx({.pin_threads = false});
   MatrixRegistry reg;
   const CsrMatrix m = gen::fem_like(180, 2, 8.0, 30, 21);
@@ -519,7 +518,6 @@ TEST(ServeSharded, StealCoalescesAcrossShards) {
   Scheduler sched(reg, {.max_batch = kRequests,
                         .max_linger = std::chrono::microseconds(100),
                         .dispatch_threads = 1,
-                        .shards = 4,
                         .start_paused = true});
   std::vector<std::vector<double>> ys(kRequests,
                                       std::vector<double>(m.rows(), 0.0));
@@ -545,24 +543,17 @@ TEST(ServeSharded, StealCoalescesAcrossShards) {
   const MatrixStatsSnapshot* a = snap.find("A");
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->requests_completed, kRequests);
-  EXPECT_EQ(a->batches_dispatched, 1u);  // stealing kept the batch whole
+  EXPECT_EQ(a->requests_submitted, kRequests);
+  EXPECT_EQ(a->batches_dispatched, 1u);  // one batch, not one per thread
+  EXPECT_EQ(a->rhs_dispatched, kRequests);
   EXPECT_EQ(a->max_batch_width, kRequests);
-  EXPECT_EQ(snap.data_plane.shards, 4u);
+  EXPECT_DOUBLE_EQ(a->mean_batch_width(), static_cast<double>(kRequests));
   EXPECT_EQ(snap.data_plane.dispatchers, 1u);
-  // 16 distinct submitter threads over 4 shards: some requests landed off
-  // the dispatcher's home shard, so the sweep must have stolen.  (All 16
-  // thread ids hashing to one shard has probability ~4^-15.)
-  EXPECT_GT(snap.data_plane.steal_requests, 0u);
-  EXPECT_GT(snap.data_plane.steal_batches, 0u);
-  EXPECT_EQ(snap.data_plane.batch_width.count, 1u);
-  EXPECT_EQ(snap.data_plane.batch_width.total, kRequests);
-  EXPECT_EQ(snap.data_plane.queue_depth.count, kRequests);
 }
 
-TEST(ServeSharded, FourDispatchersBitIdenticalUnderClientRace) {
-  // The widest sharded configuration the acceptance bar names: four
-  // dispatchers (four shards), eight racing client threads, results still
-  // bit-identical to a direct multiply on the same plan.
+TEST(ServeRing, FourDispatchersBitIdenticalUnderClientRace) {
+  // Four dispatchers popping one ring, eight racing client threads:
+  // results still bit-identical to a direct multiply on the same plan.
   engine::ExecutionContext ctx({.pin_threads = false});
   MatrixRegistry reg;
   const CsrMatrix m = gen::fem_like(260, 3, 9.0, 40, 23);
@@ -608,11 +599,10 @@ TEST(ServeSharded, FourDispatchersBitIdenticalUnderClientRace) {
   EXPECT_EQ(a->requests_completed,
             static_cast<std::uint64_t>(kClients) * kPerClient);
   EXPECT_EQ(snap.data_plane.dispatchers, 4u);
-  EXPECT_EQ(snap.data_plane.shards, 4u);
 }
 
 TEST(ServeConcurrency, HotSwapAndShutdownRaceResolvesEveryFuture) {
-  // The nastiest lifecycle race the sharded plane must survive: clients
+  // The nastiest lifecycle race the data plane must survive: clients
   // hammering submit-by-name while the registry hot-swaps and erases the
   // entry underneath them, and the scheduler shuts down mid-load.  Run
   // once per drain mode.  The contract is not which requests succeed —

@@ -62,14 +62,6 @@ TEST(Stats, GeomeanRejectsNonPositive) {
   EXPECT_THROW(geomean(xs), std::invalid_argument);
 }
 
-TEST(Stats, Histogram) {
-  const double xs[] = {0.1, 0.2, 0.55, 0.99, 1.0};
-  const auto h = histogram(xs, 0.0, 1.0, 2);
-  ASSERT_EQ(h.size(), 2u);
-  EXPECT_EQ(h[0], 2u);
-  EXPECT_EQ(h[1], 3u);  // 1.0 lands in the last bucket
-}
-
 TEST(Prng, Deterministic) {
   Prng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
