@@ -36,9 +36,9 @@
 
 #include "bench_common.h"
 #include "gen/generators.h"
-#include "net/chaos_proxy.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "testsupport/chaos_proxy.h"
 
 namespace spmv::bench {
 namespace {

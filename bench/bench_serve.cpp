@@ -322,6 +322,39 @@ int main(int argc, char** argv) {
 
     results.push_back({"direct", run_direct(clients, ys, point_seconds)});
 
+    // Fill a scheduler row from its stats (latency merged across the two
+    // matrices' histograms) and its speed relative to the direct row.
+    const auto finish_row = [&results](ModeResult& r,
+                                       const serve::ServeStatsSnapshot& snap) {
+      r.has_stats = true;
+      r.shed = snap.data_plane.requests_shed;
+      r.expired = snap.data_plane.requests_expired;
+      r.mean_width = snap.mean_batch_width();
+      serve::LatencyHistogram::Snapshot queue{}, disp{};
+      for (const auto& m : snap.matrices) {
+        r.max_width = std::max(r.max_width, m.max_batch_width);
+        for (std::size_t b = 0; b < serve::LatencyHistogram::kBuckets; ++b) {
+          queue.buckets[b] += m.queue_latency.buckets[b];
+          disp.buckets[b] += m.dispatch_latency.buckets[b];
+        }
+        queue.count += m.queue_latency.count;
+        queue.total_ns += m.queue_latency.total_ns;
+        disp.count += m.dispatch_latency.count;
+        disp.total_ns += m.dispatch_latency.total_ns;
+      }
+      r.q50 = queue.quantile_us(0.5);
+      r.q95 = queue.quantile_us(0.95);
+      r.d50 = disp.quantile_us(0.5);
+      const ModeResult& direct = results.front();
+      if (direct.traffic.ops > 0 && direct.traffic.seconds > 0.0 &&
+          r.traffic.seconds > 0.0) {
+        r.vs_direct = (static_cast<double>(r.traffic.ops) /
+                       r.traffic.seconds) /
+                      (static_cast<double>(direct.traffic.ops) /
+                       direct.traffic.seconds);
+      }
+    };
+
     struct ServeMode {
       const char* label;
       std::size_t batch;
@@ -345,37 +378,7 @@ int main(int argc, char** argv) {
       r.mode = mode.label;
       r.disp = n_disp;
       r.traffic = run_serve(sched, clients, ys, mode.win, point_seconds);
-      const serve::ServeStatsSnapshot snap = sched.stats();
-      r.has_stats = true;
-      r.shed = snap.data_plane.requests_shed;
-      r.expired = snap.data_plane.requests_expired;
-      r.mean_width = snap.mean_batch_width();
-      for (const auto& m : snap.matrices) {
-        r.max_width = std::max(r.max_width, m.max_batch_width);
-      }
-      // Aggregate latency across the two matrices' histograms.
-      serve::LatencyHistogram::Snapshot queue{}, disp{};
-      for (const auto& m : snap.matrices) {
-        for (std::size_t b = 0; b < serve::LatencyHistogram::kBuckets; ++b) {
-          queue.buckets[b] += m.queue_latency.buckets[b];
-          disp.buckets[b] += m.dispatch_latency.buckets[b];
-        }
-        queue.count += m.queue_latency.count;
-        queue.total_ns += m.queue_latency.total_ns;
-        disp.count += m.dispatch_latency.count;
-        disp.total_ns += m.dispatch_latency.total_ns;
-      }
-      r.q50 = queue.quantile_us(0.5);
-      r.q95 = queue.quantile_us(0.95);
-      r.d50 = disp.quantile_us(0.5);
-      const ModeResult& direct = results.front();
-      if (direct.traffic.ops > 0 && direct.traffic.seconds > 0.0 &&
-          r.traffic.seconds > 0.0) {
-        r.vs_direct = (static_cast<double>(r.traffic.ops) /
-                       r.traffic.seconds) /
-                      (static_cast<double>(direct.traffic.ops) /
-                       direct.traffic.seconds);
-      }
+      finish_row(r, sched.stats());
       results.push_back(std::move(r));
     }
 
@@ -397,30 +400,7 @@ int main(int argc, char** argv) {
       r.disp = n_disp;
       r.traffic = run_serve_shed(sched, clients, ys, window, deadline_us,
                                  point_seconds);
-      const serve::ServeStatsSnapshot snap = sched.stats();
-      r.has_stats = true;
-      r.shed = snap.data_plane.requests_shed;
-      r.expired = snap.data_plane.requests_expired;
-      r.mean_width = snap.mean_batch_width();
-      serve::LatencyHistogram::Snapshot queue{};
-      for (const auto& m : snap.matrices) {
-        r.max_width = std::max(r.max_width, m.max_batch_width);
-        for (std::size_t b = 0; b < serve::LatencyHistogram::kBuckets; ++b) {
-          queue.buckets[b] += m.queue_latency.buckets[b];
-        }
-        queue.count += m.queue_latency.count;
-        queue.total_ns += m.queue_latency.total_ns;
-      }
-      r.q50 = queue.quantile_us(0.5);
-      r.q95 = queue.quantile_us(0.95);
-      const ModeResult& direct = results.front();
-      if (direct.traffic.ops > 0 && direct.traffic.seconds > 0.0 &&
-          r.traffic.seconds > 0.0) {
-        r.vs_direct = (static_cast<double>(r.traffic.ops) /
-                       r.traffic.seconds) /
-                      (static_cast<double>(direct.traffic.ops) /
-                       direct.traffic.seconds);
-      }
+      finish_row(r, sched.stats());
       results.push_back(std::move(r));
     }
     }

@@ -575,35 +575,19 @@ bool kernel_backend_available(KernelBackend backend) {
 #else
       return false;
 #endif
-    case KernelBackend::kAvx512:
-#if defined(SPMV_X86)
-      return host_info().has_avx512f;
-#else
-      return false;
-#endif
   }
   return false;
 }
 
 KernelBackend resolve_kernel_backend(KernelBackend requested) {
   switch (requested) {
-    case KernelBackend::kAuto:
-      // kAvx512 is skipped on purpose until its table has kernels: picking
-      // it would only add a per-block fallback walk for nothing.
-      return kernel_backend_available(KernelBackend::kAvx2)
-                 ? KernelBackend::kAvx2
-                 : KernelBackend::kScalar;
     case KernelBackend::kScalar:
       return KernelBackend::kScalar;
+    case KernelBackend::kAuto:
     case KernelBackend::kAvx2:
       return kernel_backend_available(KernelBackend::kAvx2)
                  ? KernelBackend::kAvx2
                  : KernelBackend::kScalar;
-    case KernelBackend::kAvx512:
-      if (kernel_backend_available(KernelBackend::kAvx512)) {
-        return KernelBackend::kAvx512;
-      }
-      return resolve_kernel_backend(KernelBackend::kAvx2);
   }
   return KernelBackend::kScalar;
 }
@@ -620,11 +604,6 @@ BlockKernelFn simd_block_kernel(KernelBackend backend, BlockFormat fmt,
 #else
       return nullptr;
 #endif
-    case KernelBackend::kAvx512:
-      // AVX-512F hook: table reserved, no kernels registered yet.  When
-      // they land, mirror avx2_lookup here and let resolve_kernel_backend
-      // auto-select the backend.
-      return nullptr;
     case KernelBackend::kAuto:
     case KernelBackend::kScalar:
       return nullptr;
@@ -646,9 +625,6 @@ BlockKernelKFn simd_block_kernel_k(KernelBackend backend, BlockFormat fmt,
       (void)k;
       return nullptr;
 #endif
-    case KernelBackend::kAvx512:
-      // Same stub as the single-vector table: reserved, no kernels yet.
-      return nullptr;
     case KernelBackend::kAuto:
     case KernelBackend::kScalar:
       return nullptr;

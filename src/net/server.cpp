@@ -23,6 +23,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// How long shutdown keeps flushing already-queued reply bytes after the
+/// scheduler drained, so a slow reader cannot wedge stop().
+constexpr std::chrono::milliseconds kDrainGrace{1000};
+
+/// Decided multiply replies kept per session for retransmission.  A retry
+/// inside the window re-sends the recorded reply verbatim (exactly-once
+/// effect); a retry past it answers kRetryUnknown.  Executed results and
+/// pre-execution rejections each get a window of this size, so rejection
+/// bursts cannot evict executed results.
+constexpr std::size_t kReplayWindow = 64;
+
 /// Best-effort one-byte write used for doorbells: a full pipe means a
 /// wakeup is already pending, which is exactly as good as ours.
 void ring(int fd) {
@@ -94,7 +105,6 @@ struct SpmvServer::Conn {
   std::vector<std::uint8_t> rdbuf;
   std::deque<std::vector<std::uint8_t>> wq;
   std::size_t wq_off = 0;  ///< bytes of wq.front() already written
-  std::size_t wq_bytes = 0;  ///< total unsent bytes across wq
   bool closing = false;    ///< flush remaining writes, then close
   bool kill = false;       ///< close without flushing
   bool goodbye = false;    ///< clean GOODBYE exchanged: never park
@@ -228,7 +238,7 @@ void SpmvServer::stop() {
   scheduler_.shutdown(serve::Scheduler::Drain::kDrain);
 
   // Phase 4 — I/O threads run their final pass: drain inboxes, GOODBYE
-  // each session, flush within drain_grace, close, exit.
+  // each session, flush within kDrainGrace, close, exit.
   // release: pairs with the I/O loops' acquire load.
   io_stopping_.store(true, std::memory_order_release);
   for (auto& io : io_threads_) ring(io->doorbell[1]);
@@ -423,7 +433,7 @@ void SpmvServer::io_loop(unsigned index) {
       send_frame(*conn, FrameType::kGoodbye, 0, {});
     }
   }
-  const auto flush_deadline = Clock::now() + config_.drain_grace;
+  const auto flush_deadline = Clock::now() + kDrainGrace;
   for (;;) {
     bool pending = false;
     pfds.clear();
@@ -549,14 +559,12 @@ void SpmvServer::handle_readable(IoThread& io, Conn& conn) {
     // Wire-level violation: the stream is unrecoverable.  When the
     // header survived its CRC we can still address an error reply;
     // otherwise the bytes are noise and the socket just closes.
-    // relaxed: statistics counter.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     if (st == ParseStatus::kBadPayloadCrc || st == ParseStatus::kOversized ||
         st == ParseStatus::kUnknownType) {
-      send_status(conn, header.request_id, StatusCode::kProtocolError,
-                  to_string(st));
-      conn.closing = true;
+      protocol_error(conn, header.request_id, to_string(st));
     } else {
+      // relaxed: statistics counter.
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       conn.kill = true;
     }
     break;
@@ -577,22 +585,15 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
                               const FrameHeader& header,
                               std::span<const std::uint8_t> payload) {
   if (header.flags != 0) {  // reserved through wire version 2
-    // relaxed: statistics counter.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    send_status(conn, header.request_id, StatusCode::kProtocolError,
-                "nonzero flags");
-    conn.closing = true;
+    protocol_error(conn, header.request_id, "nonzero flags");
     return;
   }
 
   if (header.type == FrameType::kHello) {
     HelloRequest req;
     if (conn.slot != nullptr || !decode_hello(payload, req)) {
-      // relaxed: statistics counter.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      send_status(conn, header.request_id, StatusCode::kProtocolError,
-                  conn.slot ? "duplicate HELLO" : "malformed HELLO");
-      conn.closing = true;
+      protocol_error(conn, header.request_id,
+                     conn.slot ? "duplicate HELLO" : "malformed HELLO");
       return;
     }
     std::uint32_t quota = req.requested_quota == 0 ? config_.default_quota
@@ -630,11 +631,7 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
   }
 
   if (conn.slot == nullptr) {
-    // relaxed: statistics counter.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    send_status(conn, header.request_id, StatusCode::kProtocolError,
-                "HELLO required first");
-    conn.closing = true;
+    protocol_error(conn, header.request_id, "HELLO required first");
     return;
   }
 
@@ -671,9 +668,8 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
       job.request_id = header.request_id;
       {
         MutexLock lock(upload_mutex_);
-        if (upload_stop_) {
-          // Raced shutdown: answer rather than queue into a dead worker.
-        } else {
+        // Raced shutdown: answer below rather than queue into a dead worker.
+        if (!upload_stop_) {
           uploads_.push_back(std::move(job));
           upload_cv_.notify_one();
           return;
@@ -710,11 +706,7 @@ void SpmvServer::handle_frame(IoThread& io, Conn& conn,
     }
     default:
       // Server-to-client frame types arriving at the server.
-      // relaxed: statistics counter.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      send_status(conn, header.request_id, StatusCode::kProtocolError,
-                  "unexpected frame type");
-      conn.closing = true;
+      protocol_error(conn, header.request_id, "unexpected frame type");
       return;
   }
 }
@@ -1074,7 +1066,7 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
     // decision into its replay window so the retransmission gets the
     // same reply; if the session closed with it, drop exactly once.
     if (slot.record_orphan(r.request_id, ok_items, failed_items, ns,
-                           std::move(frame), config_.replay_window)) {
+                           std::move(frame), kReplayWindow)) {
       // relaxed: statistics counter.
       completions_parked_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -1093,36 +1085,47 @@ void SpmvServer::process_completion(IoThread& io, Completion&& c) {
 // ---------------------------------------------------------------------------
 // Write path
 
-void SpmvServer::send_frame(Conn& conn, FrameType type,
-                            std::uint64_t request_id,
-                            std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> frame;
+std::vector<std::uint8_t> SpmvServer::encode_or_kill(
+    Conn& conn, FrameType type, std::uint64_t request_id,
+    std::span<const std::uint8_t> payload) {
   try {
-    frame = encode_frame(type, request_id, payload);
+    return encode_frame(type, request_id, payload);
   } catch (const std::length_error&) {
     // A reply too large for the wire format cannot be represented; drop
     // the connection rather than let the exception escape the I/O loop.
     // relaxed: statistics counter.
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     conn.kill = true;
-    return;
+    return {};
   }
-  queue_frame(conn, std::move(frame));
+}
+
+void SpmvServer::send_frame(Conn& conn, FrameType type,
+                            std::uint64_t request_id,
+                            std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> frame =
+      encode_or_kill(conn, type, request_id, payload);
+  if (!frame.empty()) queue_frame(conn, std::move(frame));
 }
 
 void SpmvServer::send_status(Conn& conn, std::uint64_t request_id,
                              StatusCode code, const std::string& message) {
-  StatusMsg msg;
-  msg.code = code;
-  msg.message = message;
-  send_frame(conn, FrameType::kStatus, request_id, encode_status(msg));
+  send_frame(conn, FrameType::kStatus, request_id,
+             encode_status({code, message}));
+}
+
+void SpmvServer::protocol_error(Conn& conn, std::uint64_t request_id,
+                                const std::string& why) {
+  // relaxed: statistics counter.
+  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+  send_status(conn, request_id, StatusCode::kProtocolError, why);
+  conn.closing = true;
 }
 
 void SpmvServer::queue_frame(Conn& conn, std::vector<std::uint8_t> frame) {
   // An empty backlog means the write-stall clock was idle: re-arm it now
   // so the grace period is measured from when the backlog began.
   if (conn.wq.empty()) conn.last_write_progress = Clock::now();
-  conn.wq_bytes += frame.size();
   conn.wq.push_back(std::move(frame));
   // relaxed: statistics counter.
   responses_.fetch_add(1, std::memory_order_relaxed);
@@ -1133,7 +1136,7 @@ void SpmvServer::decide_and_send(Conn& conn, ClientSlot& slot,
                                  std::uint64_t request_id,
                                  std::vector<std::uint8_t> frame,
                                  bool executed) {
-  slot.decide(request_id, frame, config_.replay_window, executed);
+  slot.decide(request_id, frame, kReplayWindow, executed);
   if (SPMV_FAULT_POINT("net.replay_evict")) {
     // Simulated premature eviction: a retry of this id now answers
     // kRetryUnknown instead of replaying — the client-visible worst case.
@@ -1145,19 +1148,9 @@ void SpmvServer::decide_and_send(Conn& conn, ClientSlot& slot,
 void SpmvServer::decide_status(Conn& conn, ClientSlot& slot,
                                std::uint64_t request_id, StatusCode code,
                                const std::string& message) {
-  StatusMsg msg;
-  msg.code = code;
-  msg.message = message;
-  std::vector<std::uint8_t> frame;
-  try {
-    frame = encode_frame(FrameType::kStatus, request_id,
-                         encode_status(msg));
-  } catch (const std::length_error&) {
-    // relaxed: statistics counter.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    conn.kill = true;
-    return;
-  }
+  std::vector<std::uint8_t> frame = encode_or_kill(
+      conn, FrameType::kStatus, request_id, encode_status({code, message}));
+  if (frame.empty()) return;
   // Rejections never executed: they are windowed separately so a burst
   // of them cannot evict executed results from the replay window.
   decide_and_send(conn, slot, request_id, std::move(frame),
@@ -1177,7 +1170,6 @@ void SpmvServer::flush_writes(Conn& conn) {
         ::send(conn.fd, front.data() + conn.wq_off, chunk, MSG_NOSIGNAL);
     if (n > 0) {
       conn.wq_off += static_cast<std::size_t>(n);
-      conn.wq_bytes -= std::min(conn.wq_bytes, static_cast<std::size_t>(n));
       conn.last_write_progress = Clock::now();
       // relaxed: statistics counter.
       bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
@@ -1258,32 +1250,29 @@ void SpmvServer::reap_idle(IoThread& io) {
     }
   }
 
-  // Read-progress deadlines: a partial frame must complete within
-  // header_timeout (nothing but header bytes yet) / body_timeout of its
-  // first byte.  Unset timeouts fall back to idle_timeout so a
-  // half-delivered frame can never evade the idle reaper by trickling.
-  const auto effective = [&](std::chrono::milliseconds t) {
-    return t.count() > 0 ? t : config_.idle_timeout;
-  };
-  const auto header_limit = effective(config_.header_timeout);
-  const auto body_limit = effective(config_.body_timeout);
+  // Read-progress deadline: a partial frame must complete within
+  // frame_timeout of its first byte.  Unset, it falls back to
+  // idle_timeout so a half-delivered frame can never evade the idle
+  // reaper by trickling.
+  const auto frame_limit = config_.frame_timeout.count() > 0
+                               ? config_.frame_timeout
+                               : config_.idle_timeout;
 
   std::vector<std::uint64_t> doomed;
   for (const auto& [id, conn] : io.conns) {
     if (conn->closing || conn->kill) continue;
-    if (conn->partial_since != Clock::time_point{}) {
-      const auto limit =
-          conn->rdbuf.size() < kHeaderSize ? header_limit : body_limit;
-      if (limit.count() > 0 && now - conn->partial_since >= limit) {
-        // relaxed: statistics counter.
-        progress_killed_.fetch_add(1, std::memory_order_relaxed);
-        conn->kill = true;  // no farewell: the stream is mid-frame anyway
-        doomed.push_back(id);
-        continue;
-      }
+    if (frame_limit.count() > 0 &&
+        conn->partial_since != Clock::time_point{} &&
+        now - conn->partial_since >= frame_limit) {
+      // relaxed: statistics counter.
+      progress_killed_.fetch_add(1, std::memory_order_relaxed);
+      conn->kill = true;  // no farewell: the stream is mid-frame anyway
+      doomed.push_back(id);
+      continue;
     }
-    if (config_.write_stall_bytes > 0 &&
-        conn->wq_bytes > config_.write_stall_bytes &&
+    // flush_writes sends until EAGAIN, so any backlog here means the
+    // kernel send buffer is full too.
+    if (config_.write_stall_timeout.count() > 0 && !conn->wq.empty() &&
         now - conn->last_write_progress >= config_.write_stall_timeout) {
       // relaxed: statistics counter.
       write_stall_killed_.fetch_add(1, std::memory_order_relaxed);
@@ -1314,9 +1303,8 @@ void SpmvServer::reap_idle(IoThread& io) {
 
 bool SpmvServer::needs_sweep_tick() const {
   return config_.idle_timeout.count() > 0 ||
-         config_.header_timeout.count() > 0 ||
-         config_.body_timeout.count() > 0 ||
-         config_.write_stall_bytes > 0 ||
+         config_.frame_timeout.count() > 0 ||
+         config_.write_stall_timeout.count() > 0 ||
          config_.resume_timeout.count() > 0;
 }
 

@@ -80,33 +80,21 @@ struct ServerConfig {
   /// Reap sessions with no traffic and nothing in flight for this long.
   /// 0 disables reaping.
   std::chrono::milliseconds idle_timeout{0};
-  /// How long shutdown may keep flushing already-queued response bytes
-  /// after the scheduler drained (slow readers do not wedge stop()).
-  std::chrono::milliseconds drain_grace{1000};
   /// How long an abruptly disconnected session stays parked waiting for a
   /// resuming HELLO.  0 disables resumption entirely: a disconnect
   /// cancels in-flight work and closes the session immediately (the
   /// pre-resume semantics the lifecycle tests pin down).
   std::chrono::milliseconds resume_timeout{0};
-  /// Decided multiply replies kept per session for retransmission.  A
-  /// retry inside the window re-sends the recorded reply verbatim
-  /// (exactly-once effect); a retry past it answers kRetryUnknown.
-  /// Executed results and pre-execution rejections each get a window of
-  /// this size, so rejection bursts cannot evict executed results.
-  std::size_t replay_window = 64;
-  /// A partial frame header must complete within this long of its first
-  /// byte, and a partial payload within body_timeout — defeats
-  /// byte-at-a-time tricklers whose per-byte "activity" would evade
-  /// idle_timeout.  0 falls back to idle_timeout (if set); both 0
-  /// disables the progress check.
-  std::chrono::milliseconds header_timeout{0};
-  std::chrono::milliseconds body_timeout{0};
-  /// Kill a connection whose unsent reply backlog exceeds
-  /// write_stall_bytes with no drain progress for write_stall_timeout —
-  /// a peer that stops reading cannot pin reply memory forever.  0
-  /// disables the check.
-  std::size_t write_stall_bytes = 0;
-  std::chrono::milliseconds write_stall_timeout{1000};
+  /// A partial frame — header or payload — must complete within this long
+  /// of its first byte.  Defeats byte-at-a-time tricklers whose per-byte
+  /// "activity" would evade idle_timeout.  0 falls back to idle_timeout
+  /// (if set); both 0 disables the check.
+  std::chrono::milliseconds frame_timeout{0};
+  /// Kill a connection whose unsent reply backlog made no drain progress
+  /// for this long — a peer that stops reading cannot pin reply memory
+  /// forever.  Replies are sent until EAGAIN, so any user-space backlog
+  /// already means the kernel send buffer is full.  0 disables the check.
+  std::chrono::milliseconds write_stall_timeout{0};
   serve::SchedulerConfig scheduler;
   /// Tuning options applied to UPLOAD_MATRIX (runs on the control
   /// thread, never on an I/O thread).
@@ -136,7 +124,7 @@ struct NetStatsSnapshot {
   std::uint64_t resumes = 0;          ///< sessions re-attached via HELLO
   std::uint64_t resume_rejected = 0;  ///< resume attempts refused
   std::uint64_t parked_reaped = 0;    ///< parked sessions past the deadline
-  std::uint64_t progress_killed = 0;  ///< header/body progress deadline hit
+  std::uint64_t progress_killed = 0;  ///< frame_timeout hit mid-frame
   std::uint64_t write_stall_killed = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
@@ -168,7 +156,7 @@ class SpmvServer {
 
   /// Drain shutdown, idempotent: stop accepting, let the scheduler drain
   /// (every in-flight request is answered over the wire), send GOODBYE to
-  /// each session, flush within drain_grace, close, join all threads.
+  /// each session, flush for at most a second, close, join all threads.
   void stop();
 
   /// The registry/scheduler behind the wire — for in-process loading,
@@ -215,6 +203,15 @@ class SpmvServer {
                   std::span<const std::uint8_t> payload);
   void send_status(Conn& conn, std::uint64_t request_id, StatusCode code,
                    const std::string& message);
+  /// Count a protocol error, answer kProtocolError, and close once the
+  /// reply flushed.
+  void protocol_error(Conn& conn, std::uint64_t request_id,
+                      const std::string& why);
+  /// encode_frame, or — for a reply too large for the wire format — count
+  /// a protocol error, kill the connection and return an empty frame.
+  std::vector<std::uint8_t> encode_or_kill(
+      Conn& conn, FrameType type, std::uint64_t request_id,
+      std::span<const std::uint8_t> payload);
   /// Enqueue an already-encoded frame and try to flush.
   void queue_frame(Conn& conn, std::vector<std::uint8_t> frame);
   /// Record `frame` as the decision for `request_id` in the session's

@@ -199,11 +199,7 @@ class ClientSlot {
                                    std::size_t window)
       SPMV_EXCLUDES(retry_mutex_) {
     MutexLock lock(retry_mutex_);
-    // relaxed: state_ transitions happen under retry_mutex_, which
-    // supplies the ordering here; the atomic exists for advisory reads.
-    if (state_.load(std::memory_order_relaxed) == AttachState::kClosed) {
-      return false;
-    }
+    if (state_ == AttachState::kClosed) return false;
     decide_locked(request_id, std::move(frame), window, /*executed=*/true);
     for (std::uint32_t i = 0; i < ok_items; ++i) count_outcome(true, rpc_ns);
     for (std::uint32_t i = 0; i < failed_items; ++i) {
@@ -213,14 +209,6 @@ class ClientSlot {
   }
 
   // --- attach lifecycle (driven by the SessionManager) ---
-
-  /// Advisory read of the attach state (e.g. gauges); exactness-critical
-  /// decisions read it under retry_mutex_ inside record_orphan.
-  [[nodiscard]] AttachState attach_state() const {
-    // relaxed: advisory read; all decisions that must be exact take
-    // retry_mutex_ instead.
-    return state_.load(std::memory_order_relaxed);
-  }
 
   /// The connection currently owning this session.  A resume HELLO can
   /// race the death of the previous connection (a proxy or middlebox cuts
@@ -246,18 +234,14 @@ class ClientSlot {
   /// Attached -> parked.  Returns false if the slot already closed.
   [[nodiscard]] bool mark_parked() SPMV_EXCLUDES(retry_mutex_) {
     MutexLock lock(retry_mutex_);
-    // relaxed: guarded by retry_mutex_ (see record_orphan).
-    if (state_.load(std::memory_order_relaxed) == AttachState::kClosed) {
-      return false;
-    }
-    state_.store(AttachState::kParked, std::memory_order_relaxed);
+    if (state_ == AttachState::kClosed) return false;
+    state_ = AttachState::kParked;
     return true;
   }
 
   void mark_attached() SPMV_EXCLUDES(retry_mutex_) {
     MutexLock lock(retry_mutex_);
-    // relaxed: guarded by retry_mutex_ (see record_orphan).
-    state_.store(AttachState::kAttached, std::memory_order_relaxed);
+    state_ = AttachState::kAttached;
   }
 
   /// Permanently close and snapshot the final statistics in one critical
@@ -268,8 +252,7 @@ class ClientSlot {
   [[nodiscard]] SessionStatsSnapshot mark_closed_and_snapshot()
       SPMV_EXCLUDES(retry_mutex_) {
     MutexLock lock(retry_mutex_);
-    // relaxed: guarded by retry_mutex_ (see record_orphan).
-    state_.store(AttachState::kClosed, std::memory_order_relaxed);
+    state_ = AttachState::kClosed;
     return snapshot();
   }
 
@@ -380,9 +363,8 @@ class ClientSlot {
   std::unordered_map<std::uint64_t, std::uint32_t> inflight_
       SPMV_GUARDED_BY(retry_mutex_);
   std::uint32_t inflight_items_ SPMV_GUARDED_BY(retry_mutex_) = 0;
-  /// Attach lifecycle.  Mutated only under retry_mutex_; the atomic makes
-  /// the advisory attach_state() read legal without it.
-  std::atomic<AttachState> state_{AttachState::kAttached};
+  /// Attach lifecycle: attached -> parked -> attached ... -> closed.
+  AttachState state_ SPMV_GUARDED_BY(retry_mutex_) = AttachState::kAttached;
   /// Owning connection id; mutated under the SessionManager mutex (that
   /// mutex orders takeover-vs-close races), atomic for advisory reads.
   std::atomic<std::uint64_t> owner_conn_{0};
@@ -543,7 +525,6 @@ class SessionManager {
     std::uint64_t requests = 0;
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
-    std::size_t active = 0;
   };
   [[nodiscard]] Totals totals() const SPMV_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
@@ -552,7 +533,6 @@ class SessionManager {
     t.requests = retired_requests_;
     t.completed = retired_completed_;
     t.failed = retired_failed_;
-    t.active = slots_.size();
     const auto add = [&t](const ClientSlot& slot) {
       const SessionStatsSnapshot s = slot.snapshot();
       t.requests += s.requests;

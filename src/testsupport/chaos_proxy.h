@@ -35,6 +35,9 @@
 // One background thread owns every socket; controls are atomics sampled
 // each poll tick.  start()/stop() bound the thread's lifecycle (joined in
 // stop(), which the destructor also calls).
+//
+// Test scaffolding, not library: it builds into spmv_testsupport, which
+// only the test suite and bench_net link.
 #pragma once
 
 #include <atomic>

@@ -25,8 +25,8 @@
 #include <vector>
 
 #include "matrix/csr.h"
-#include "net/chaos_proxy.h"
 #include "net/client.h"
+#include "testsupport/chaos_proxy.h"
 
 namespace spmv::net {
 namespace {

@@ -13,13 +13,14 @@
 //
 // Runs in the spmv_net_chaos CTest entry (and, matching Net*, in the
 // TSan-gated spmv_concurrency/spmv_net entries too).
-#include "net/chaos_proxy.h"
+#include "testsupport/chaos_proxy.h"
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -174,7 +175,6 @@ TEST(NetChaos, CircuitBreakerStateMachine) {
 void run_soak(std::uint64_t seed) {
   ServerConfig scfg;
   scfg.resume_timeout = 5000ms;
-  scfg.replay_window = 64;
   SpmvServer server(scfg);
   server.start();
   const TestMatrix m = tridiag(64);
@@ -308,11 +308,11 @@ TEST(NetChaos, ExecutedButUnackedRetryReturnsCachedReply) {
 
 // Satellite regression: one byte of a frame header, then silence.  The
 // read-progress clock anchors when the partial frame STARTS buffering,
-// so the server must kill the connection within header_timeout even
+// so the server must kill the connection within frame_timeout even
 // though idle_timeout alone would never fire (and is not even set).
 TEST(NetChaos, OneByteThenStopKilledByHeaderDeadline) {
   ServerConfig cfg;
-  cfg.header_timeout = 200ms;
+  cfg.frame_timeout = 200ms;
   SpmvServer server(cfg);
   server.start();
   const int fd = raw_connect(server.port());
@@ -328,12 +328,42 @@ TEST(NetChaos, OneByteThenStopKilledByHeaderDeadline) {
   server.stop();
 }
 
+// The payload half of the same deadline: a valid HELLO header that
+// announces a payload, then half of that payload, then silence.  The
+// header parses, so the server is waiting on payload bytes — and
+// frame_timeout, anchored at the frame's first byte, still cuts it.
+TEST(NetChaos, StalledPayloadKilledByFrameDeadline) {
+  ServerConfig cfg;
+  cfg.frame_timeout = 200ms;
+  SpmvServer server(cfg);
+  server.start();
+  const int fd = raw_connect(server.port());
+  // A server that never cuts the connection fails the elapsed check
+  // below instead of hanging the suite.
+  const timeval rcv_limit{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rcv_limit, sizeof rcv_limit);
+  HelloRequest hello;
+  hello.client_name = "payload-staller";
+  const auto frame = encode_frame(FrameType::kHello, 1, encode_hello(hello));
+  ASSERT_GE(frame.size(), kHeaderSize + 2);  // a payload to split
+  const std::size_t half = kHeaderSize + (frame.size() - kHeaderSize) / 2;
+  ASSERT_EQ(::write(fd, frame.data(), half), static_cast<ssize_t>(half));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(read_to_eof(fd), 0u);  // the HELLO never completed: no reply
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  ::close(fd);
+  EXPECT_LT(elapsed, 5s);
+  ASSERT_TRUE(
+      wait_until([&] { return server.net_stats().progress_killed >= 1; }));
+  server.stop();
+}
+
 // A trickler drips header bytes forever.  Each byte is "activity", but
 // the progress deadline anchors at the frame start and only a COMPLETED
 // frame re-arms it — so the drip cannot extend the deadline.
 TEST(NetChaos, TricklerKilledDespiteContinuousBytes) {
   ServerConfig cfg;
-  cfg.header_timeout = 250ms;
+  cfg.frame_timeout = 250ms;
   SpmvServer server(cfg);
   server.start();
   const int fd = raw_connect(server.port());
@@ -357,12 +387,10 @@ TEST(NetChaos, TricklerKilledDespiteContinuousBytes) {
 }
 
 // A peer that stops reading while replies queue up: once the unsent
-// backlog exceeds write_stall_bytes with no drain progress for
-// write_stall_timeout, the server kills the connection instead of
-// pinning reply memory forever.
+// backlog makes no drain progress for write_stall_timeout, the server
+// kills the connection instead of pinning reply memory forever.
 TEST(NetChaos, WriteStalledPeerKilled) {
   ServerConfig cfg;
-  cfg.write_stall_bytes = 64 * 1024;
   cfg.write_stall_timeout = 200ms;
   // The kernel's send buffer (auto-tuned to megabytes) must fill before
   // the user-space write queue starts growing, so the test needs a deep

@@ -60,8 +60,8 @@ THREAD_FILES = WRAPPER_FILES | {
     "src/serve/health.cpp",
     "src/net/server.h",        # I/O + upload threads, joined in stop()
     "src/net/server.cpp",
-    "src/net/chaos_proxy.h",   # single relay thread, joined in stop()
-    "src/net/chaos_proxy.cpp",
+    "src/testsupport/chaos_proxy.h",  # relay thread, joined in stop()
+    "src/testsupport/chaos_proxy.cpp",
 }
 
 # Lock-free algorithm files: every atomic operation (any order) must argue
